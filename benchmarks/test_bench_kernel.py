@@ -6,7 +6,8 @@ stays realistic) and compares three ways of serving intra-partition
 distances at n ∈ {5 000, 20 000, 100 000}:
 
 - ``python``: the pure-Python oracle filling block-sparse condensed
-  blocks (the exact semantics baseline),
+  blocks one ``metric(a, b)`` call per pair (the exact semantics
+  baseline),
 - ``kernel``: the same blocks filled by the vectorized struct-of-arrays
   kernel (bitwise-equal values),
 - ``vptree``: the lazy neighbour index — no blocks materialized at
@@ -44,6 +45,7 @@ from repro.clustering import partitioned_dbscan
 from repro.core.area import AccessArea
 from repro.distance import QueryDistance
 from repro.distance.block_sparse import BlockSparseDistanceMatrix
+from repro.distance.matrix import table_partitions
 from repro.distance.metric_index import VPTreeIndex
 from repro.schema import (Column, ColumnType, Relation, Schema,
                           StatisticsCatalog)
@@ -114,6 +116,16 @@ def _intra_pairs(items):
     return sum(m * (m - 1) // 2 for m in sizes.values())
 
 
+def _oracle_matrix(items, metric):
+    """The block-sparse layout filled by the per-pair oracle."""
+    keys, members, bounds = table_partitions(items, metric)
+    blocks = [[metric(items[a], items[b])
+               for x, a in enumerate(m) for b in m[x + 1:]]
+              for m in members]
+    return BlockSparseDistanceMatrix(len(items), keys, members, blocks,
+                                     bounds)
+
+
 def _timed(build):
     started = time.perf_counter()
     result = build()
@@ -134,9 +146,7 @@ def test_kernel_artifact(out_dir):
 
         if n <= PYTHON_CAP:
             _, python_seconds = _timed(
-                lambda: BlockSparseDistanceMatrix.compute(
-                    items, QueryDistance(catalog), cutoff=EPS,
-                    engine="python"))
+                lambda: _oracle_matrix(items, QueryDistance(catalog)))
             python_rate = python_seconds / pairs
             row.update(python_measured=True,
                        python_seconds=round(python_seconds, 4))
@@ -147,8 +157,7 @@ def test_kernel_artifact(out_dir):
         if n <= KERNEL_CAP:
             kernel, kernel_seconds = _timed(
                 lambda: BlockSparseDistanceMatrix.compute(
-                    items, QueryDistance(catalog), cutoff=EPS,
-                    engine="kernel"))
+                    items, QueryDistance(catalog), cutoff=EPS))
             row.update(
                 kernel_seconds=round(kernel_seconds, 4),
                 kernel_stored_floats=kernel.stats.stored_floats,
@@ -184,12 +193,9 @@ def test_kernel_artifact(out_dir):
 
         if n == SIZES[0]:
             # All three engines must produce identical cluster labels.
-            sparse = BlockSparseDistanceMatrix.compute(
-                items, QueryDistance(catalog), cutoff=EPS,
-                engine="python")
+            sparse = _oracle_matrix(items, QueryDistance(catalog))
             kern = BlockSparseDistanceMatrix.compute(
-                items, QueryDistance(catalog), cutoff=EPS,
-                engine="kernel")
+                items, QueryDistance(catalog), cutoff=EPS)
             want = partitioned_dbscan(items, metric, EPS, MIN_PTS,
                                       matrix=sparse).labels
             parity = (

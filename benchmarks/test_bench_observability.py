@@ -61,7 +61,7 @@ def test_observability_artifact(benchmark, out_dir):
 
     # The acceptance families must all be present.
     assert ("repro_pipeline_stage_seconds", "cnf") in histograms
-    assert ("repro_distance_chunk_seconds", "serial") in histograms
+    assert ("repro_distance_chunk_seconds", "kernel") in histograms
     assert ("repro_clustering_iterations", "partitioned_dbscan") \
         in histograms
     # The generator may append a handful of noise statements past
@@ -83,7 +83,7 @@ def test_observability_artifact(benchmark, out_dir):
             "pred_cache_hit_rate": round(stats.predicate_cache_hit_rate,
                                          4),
             "chunk_seconds_p95":
-                histograms["repro_distance_chunk_seconds", "serial"]["p95"],
+                histograms["repro_distance_chunk_seconds", "kernel"]["p95"],
         },
         "trace_roots": [root.name for root in tracer.roots],
         # The full dump, exactly as the CLI's --metrics-out writes it.

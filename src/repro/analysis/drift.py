@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 from ..clustering.aggregation import AggregatedArea, aggregate_cluster
 from ..clustering.partitioned import partitioned_dbscan
 from ..core.area import AccessArea
+from ..distance.block_sparse import compute_matrix
 from ..distance.query_distance import QueryDistance
 from ..schema.statistics import StatisticsCatalog
 
@@ -103,21 +104,22 @@ def mine_drift(
         min_pts: int = 5,
         resolution: float = 0.05,
         match_distance: float = 0.5,
-        sigma: float = 3.0,
-        n_jobs: int = 1) -> DriftReport:
+        sigma: float = 3.0) -> DriftReport:
     """Mine each window and match interests across consecutive windows.
 
     Two interests in consecutive windows are the *same* interest when
     their medoids are within ``match_distance`` (greedy best-match).
-    ``n_jobs`` fans the per-window distance matrices out over worker
-    processes (1 = serial).
+    Each window is clustered over a :func:`compute_matrix`-selected
+    matrix.
     """
     distance = QueryDistance(stats, resolution=resolution)
     report = DriftReport()
 
     for window_index, areas in enumerate(windows):
-        clustering = partitioned_dbscan(list(areas), distance, eps,
-                                        min_pts, n_jobs=n_jobs)
+        areas = list(areas)
+        matrix = compute_matrix(areas, distance, eps=eps)
+        clustering = partitioned_dbscan(areas, distance, eps, min_pts,
+                                        matrix=matrix)
         interests: list[WindowInterest] = []
         for cluster_id, indices in clustering.clusters().items():
             members = [areas[i] for i in indices]

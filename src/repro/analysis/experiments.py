@@ -61,10 +61,8 @@ class CaseStudyConfig:
     predicate_cap: Optional[int] = 35
     consolidate: bool = True
     seed: int = 99
-    #: worker processes for the clustering distance matrices (1 = serial)
-    n_jobs: int = 1
-    #: distance-matrix layout: "dense", "sparse" (block-sparse
-    #: partitioned), or "auto" (sparse whenever eps lies below the
+    #: distance-matrix layout: "dense", "kernel" (block-sparse
+    #: partitioned), or "auto" (kernel whenever eps lies below the
     #: population's partition exactness bound)
     matrix_mode: str = "auto"
     #: neighbour-query backend: "matrix" (materialized storage) or
@@ -227,7 +225,7 @@ def run_case_study(config: CaseStudyConfig | None = None) -> CaseStudyResult:
                 unique, area_weights, inverse = dedupe_areas(sample_areas)
                 matrix = compute_matrix(
                     unique, distance, mode=config.matrix_mode,
-                    eps=config.eps, n_jobs=config.n_jobs,
+                    eps=config.eps,
                     neighbor_backend=config.neighbor_backend,
                     store=store, store_token=store_token)
                 matrix.stats.n_source_items = len(sample_areas)
@@ -241,7 +239,7 @@ def run_case_study(config: CaseStudyConfig | None = None) -> CaseStudyResult:
             else:
                 matrix = compute_matrix(
                     sample_areas, distance, mode=config.matrix_mode,
-                    eps=config.eps, n_jobs=config.n_jobs,
+                    eps=config.eps,
                     neighbor_backend=config.neighbor_backend,
                     store=store, store_token=store_token)
                 # auto mode already hands us a dense matrix when eps is

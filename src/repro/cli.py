@@ -141,16 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="max areas to cluster")
     p_process.add_argument("--cluster-seed", type=int, default=99,
                            help="sampling seed for the clustering stage")
-    p_process.add_argument("--n-jobs", type=int, default=1,
-                           help="worker processes for the distance "
-                                "matrix (1 = serial, 0 = all cores)")
     p_process.add_argument("--matrix-mode", default="auto",
                            choices=list(MATRIX_MODES),
-                           help="distance-matrix layout (auto: block-"
-                                "sparse when eps is below the partition "
-                                "exactness bound; kernel: block-sparse "
-                                "with vectorized struct-of-arrays "
-                                "blocks)")
+                           help="distance-matrix layout (kernel: block-"
+                                "sparse; auto: kernel when eps is below "
+                                "the partition exactness bound, dense "
+                                "otherwise)")
     p_process.add_argument("--neighbor-backend", default="matrix",
                            choices=list(NEIGHBOR_BACKENDS),
                            help="range-query backend (vptree: per-"
@@ -252,16 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_case.add_argument("--seed", type=int, default=13)
     p_case.add_argument("--rows", type=int, default=24,
                         help="table rows to print")
-    p_case.add_argument("--n-jobs", type=int, default=1,
-                        help="worker processes for the clustering "
-                             "distance matrix (1 = serial, 0 = all "
-                             "CPU cores)")
     p_case.add_argument("--matrix-mode", default="auto",
                         choices=list(MATRIX_MODES),
-                        help="distance-matrix layout (auto: block-"
-                             "sparse when eps is below the partition "
-                             "exactness bound; kernel: block-sparse "
-                             "with vectorized struct-of-arrays blocks)")
+                        help="distance-matrix layout (kernel: block-"
+                             "sparse; auto: kernel when eps is below "
+                             "the partition exactness bound, dense "
+                             "otherwise)")
     p_case.add_argument("--neighbor-backend", default="matrix",
                         choices=list(NEIGHBOR_BACKENDS),
                         help="range-query backend (vptree: per-"
@@ -592,7 +584,7 @@ def _cluster_report(report, schema, args: argparse.Namespace):
     if args.intern:
         unique, weights, inverse = dedupe_areas(areas)
         matrix = compute_matrix(unique, distance, mode=args.matrix_mode,
-                                eps=args.eps, n_jobs=args.n_jobs,
+                                eps=args.eps,
                                 neighbor_backend=args.neighbor_backend)
         matrix.stats.n_source_items = len(areas)
         deduped = partitioned_dbscan(
@@ -600,7 +592,7 @@ def _cluster_report(report, schema, args: argparse.Namespace):
             weights=weights, on_inexact="fallback")
         return DBSCANResult(expand_labels(deduped.labels, inverse))
     matrix = compute_matrix(areas, distance, mode=args.matrix_mode,
-                            eps=args.eps, n_jobs=args.n_jobs,
+                            eps=args.eps,
                             neighbor_backend=args.neighbor_backend)
     return partitioned_dbscan(areas, distance, args.eps, args.min_pts,
                               matrix=matrix, on_inexact="fallback")
@@ -728,7 +720,6 @@ def _cmd_casestudy(args: argparse.Namespace) -> int:
         sample_size=args.sample,
         eps=args.eps,
         min_pts=args.min_pts,
-        n_jobs=args.n_jobs,
         matrix_mode=args.matrix_mode,
         neighbor_backend=args.neighbor_backend,
         intern=args.intern,

@@ -130,17 +130,15 @@ class _SparseBackend:
     partition exactness bound — ``insert`` refuses (pre-mutation) any
     area whose new partition would drop the bound to ``eps``."""
 
-    def __init__(self, metric, eps: float, *, engine: str = "kernel"):
+    def __init__(self, metric, eps: float):
         from ..distance.block_sparse import BlockSparseDistanceMatrix
         self._matrix = BlockSparseDistanceMatrix.compute([], metric)
         self._metric = metric
         self._eps = eps
-        self._engine = engine
 
     def insert(self, area) -> int:
-        return self._matrix.insert_row(
-            area, self._metric, engine=self._engine,
-            max_radius=self._eps)
+        return self._matrix.insert_row(area, self._metric,
+                                       max_radius=self._eps)
 
     def neighbors(self, i: int, eps: float) -> list[int]:
         return self._matrix.neighbors(i, eps)
@@ -188,7 +186,6 @@ class IncrementalDBSCAN:
 
     def __init__(self, metric, *, eps: float, min_pts: int = 5,
                  intern: bool = True, backend: str = "sparse",
-                 engine: str = "kernel",
                  registry: Optional[metrics.MetricsRegistry] = None):
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, "
@@ -202,11 +199,7 @@ class IncrementalDBSCAN:
         self.intern = bool(intern)
         self.backend_name = backend
         self._registry = registry or metrics.get_registry()
-        if backend == "sparse":
-            self._backend = _SparseBackend(metric, self.eps,
-                                           engine=engine)
-        else:
-            self._backend = _BACKEND_TYPES[backend](metric, self.eps)
+        self._backend = _BACKEND_TYPES[backend](metric, self.eps)
         # Population state (indexed by unique-area index).
         self._index_of: dict = {}
         self._areas: list = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..algebra.cnf import CNFConversionError
 from ..obs import get_logger, metrics, trace
@@ -346,20 +346,6 @@ class LogProcessingReport:
         built with interning, duplicates are already shared objects and
         this only builds the weight/inverse maps."""
         return dedupe_areas(self.areas())
-
-    def distance_matrix(self, metric: Callable[[AccessArea, AccessArea],
-                                               float], *,
-                        n_jobs: int = 1, cutoff: Optional[float] = None):
-        """Pairwise :class:`~repro.distance.DistanceMatrix` over the
-        extracted areas — the batch path's hand-off to the clustering
-        stage.  ``n_jobs``/``cutoff`` are forwarded to
-        :meth:`~repro.distance.DistanceMatrix.compute`.
-        """
-        # Imported lazily: the core layer must not depend on the
-        # distance layer at import time.
-        from ..distance.matrix import DistanceMatrix
-        return DistanceMatrix.compute(self.areas(), metric,
-                                      n_jobs=n_jobs, cutoff=cutoff)
 
 
 def _extractor_signature(extractor: AccessAreaExtractor) -> str:

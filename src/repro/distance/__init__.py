@@ -2,21 +2,20 @@
 
 Besides the pairwise metric, the package hosts the shared
 :class:`DistanceMatrix` engine every clustering algorithm consumes: the
-condensed pairwise matrix with multiprocessing fan-out, relation-set
-memoization, bound-skipping, and :class:`MatrixStats` instrumentation —
-plus the vectorized struct-of-arrays kernel (:mod:`.kernel`) and the
-vantage-point-tree neighbour index (:mod:`.metric_index`), both
-differentially validated against the pure-Python oracle.
+condensed pairwise matrix filled by the vectorized struct-of-arrays
+kernel (:mod:`.kernel`), with relation-set memoization, bound-skipping,
+and :class:`MatrixStats` instrumentation — plus the vantage-point-tree
+neighbour index (:mod:`.metric_index`), both differentially validated
+against the pure-Python oracle.
 """
 
 from .alternatives import FootprintDistance, WeightedQueryDistance
 from .block_sparse import (BlockSparseDistanceMatrix, MATRIX_MODES,
                            NEIGHBOR_BACKENDS, compute_matrix)
 from .kernel import (KernelStats, KernelUnsupported, PackedPartition,
-                     compute_kernel_blocks, kernel_available)
+                     compute_kernel_blocks)
 from .matrix import DistanceMatrix, MatrixStats, condensed_index
 from .metric_index import VPTree, VPTreeIndex, VPTreeStats
-from .parallel import resolve_n_jobs
 from .predicate_distance import (CacheInfo, DEFAULT_CACHE_SIZE,
                                  DEFAULT_RESOLUTION, PredicateDistance)
 from .query_distance import (QueryDistance, jaccard_distance,
@@ -31,7 +30,6 @@ __all__ = [
     "BlockSparseDistanceMatrix", "MATRIX_MODES", "NEIGHBOR_BACKENDS",
     "compute_matrix",
     "KernelStats", "KernelUnsupported", "PackedPartition",
-    "compute_kernel_blocks", "kernel_available",
+    "compute_kernel_blocks",
     "VPTree", "VPTreeIndex", "VPTreeStats",
-    "resolve_n_jobs",
 ]

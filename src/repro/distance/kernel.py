@@ -41,8 +41,8 @@ hypothesis-generated predicate populations.
 Anything the pack cannot replay exactly — non-finite or non-float-exact
 numeric constants, boolean constants (whose ``True == 1`` predicate
 equality makes even the oracle's memo order-dependent), subclassed
-metrics, missing numpy — raises :class:`KernelUnsupported` and the
-caller falls back to the per-pair pure-Python path for that partition.
+metrics — raises :class:`KernelUnsupported` and the caller falls back
+to the per-pair pure-Python path for that population.
 """
 
 from __future__ import annotations
@@ -52,10 +52,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-try:  # pragma: no cover - numpy is present in the supported toolchain
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..algebra.cnf import Clause
 from ..algebra.predicates import (ColumnColumnPredicate,
@@ -76,11 +73,6 @@ _MAX_SLOTS = 2
 class KernelUnsupported(Exception):
     """A partition (or metric) the vectorized kernel cannot replay
     bitwise; callers fall back to the pure-Python oracle path."""
-
-
-def kernel_available() -> bool:
-    """True when numpy is importable (the kernel's only requirement)."""
-    return np is not None
 
 
 @dataclass
@@ -183,17 +175,16 @@ def _exact(value) -> float:
 
 
 class PackedPartition:
-    """Struct-of-arrays pack of one partition's access areas.
+    """Struct-of-arrays pack of a population of access areas.
 
-    Within a partition ``d_tables == 0`` and the full metric collapses
-    to ``d_conj``; the pack therefore produces ``d_conj`` values, which
-    equal the metric's bitwise.  Raises :class:`KernelUnsupported` when
+    The pack produces ``d_conj`` values, bitwise-equal to the metric's.
+    Within one table-set partition ``d_tables == 0``, so they are the
+    full metric; over a mixed population the dense matrix adds the
+    ``d_tables`` term itself.  Raises :class:`KernelUnsupported` when
     any predicate kind cannot be replayed exactly.
     """
 
     def __init__(self, areas: Sequence, metric) -> None:
-        if np is None:
-            raise KernelUnsupported("numpy is not available")
         self._oracle = oracle_of(metric)
         self._stats_catalog = metric.stats
 
@@ -840,7 +831,17 @@ def _clause_rows(clauses: Sequence, clause_pred_ids: Sequence,
     return rows
 
 
-# -- partition fan-out -------------------------------------------------------
+# -- partition blocks --------------------------------------------------------
+
+
+def _evaluate_partition(metric, items: Sequence,
+                        members: Sequence[int]) -> list[float]:
+    """The per-pair oracle block of one partition: ``metric`` over every
+    member pair, row-major condensed upper triangle."""
+    subset = [items[index] for index in members]
+    m = len(subset)
+    return [metric(subset[a], subset[b])
+            for a in range(m) for b in range(a + 1, m)]
 
 
 def compute_kernel_blocks(items: Sequence, metric,
@@ -848,13 +849,11 @@ def compute_kernel_blocks(items: Sequence, metric,
                           ) -> tuple[list, KernelStats]:
     """Condensed blocks for each partition, vectorized where possible.
 
-    Mirrors :func:`~.parallel.compute_blocks`'s output shape: one
-    row-major condensed upper triangle per member list.  Partitions the
-    pack cannot replay bitwise fall back to the per-pair pure-Python
-    oracle, so the result is always exactly the python-path blocks.
+    Returns one row-major condensed upper triangle per member list plus
+    the run's :class:`KernelStats`.  Partitions the pack cannot replay
+    bitwise fall back to the per-pair pure-Python oracle, so every block
+    equals the oracle's exactly.
     """
-    from .parallel import _evaluate_partition
-
     stats = KernelStats()
     blocks: list = []
     with trace.span("kernel_blocks", partitions=len(members)):
@@ -876,8 +875,7 @@ def compute_kernel_blocks(items: Sequence, metric,
             except KernelUnsupported as exc:
                 logger.debug("kernel fallback for %d-area partition: %s",
                              len(member_list), exc)
-                values, _ = _evaluate_partition(metric, items,
-                                                member_list)
+                values = _evaluate_partition(metric, items, member_list)
                 stats.partitions_fallback += 1
                 stats.pairs_fallback += len(values)
                 blocks.append(values)

@@ -2,32 +2,33 @@
 
 Every clustering algorithm in the package needs the same thing: the
 pairwise ``d = d_tables + d_conj`` values over a population of access
-areas.  Computing them inside each algorithm made the hot path serial
-and redundant.  :class:`DistanceMatrix` computes the upper triangle once
-— optionally over a multiprocessing pool (:mod:`.parallel`) — into the
-scipy-style *condensed* layout (``n·(n−1)/2`` floats, pair ``(i, j)``
-with ``i < j`` at index ``i·(2n−i−1)/2 + (j−i−1)``) and hands the
-algorithms O(1) lookups and vectorized row/neighbour queries.
+areas.  :class:`DistanceMatrix` computes the upper triangle once into
+the scipy-style *condensed* layout (``n·(n−1)/2`` floats, pair
+``(i, j)`` with ``i < j`` at index ``i·(2n−i−1)/2 + (j−i−1)``) and
+hands the algorithms O(1) lookups and vectorized row/neighbour queries.
 
-Two layers of work avoidance apply when the metric decomposes like the
-paper's query distance (``d_tables``/``d_conj`` attributes):
+When the metric decomposes like the paper's query distance
+(``d_tables``/``d_conj`` attributes) the fill is vectorized:
 
-* ``d_tables`` is memoized per *relation-set pair* — a SkyServer-scale
-  log has millions of statements but only a handful of distinct FROM
-  sets, so the Jaccard term collapses to a tiny table;
-* with a ``cutoff`` (the clustering radius), the partition bound
-  ``d ≥ d_tables ≥ 0.5`` for differing relation sets lets whole blocks
-  of pairs skip the expensive constraint comparison: the entry stores
-  the exact lower bound ``d_tables`` instead, which any threshold query
-  at ``eps ≤ cutoff`` treats identically to the true distance.
+* ``d_tables`` is evaluated once per *relation-set pair* — a
+  SkyServer-scale log has millions of statements but only a handful of
+  distinct FROM sets — and gathered into the condensed layout;
+* ``d_conj`` comes from one :class:`~.kernel.PackedPartition` over the
+  whole population, bitwise-equal to the per-pair oracle;
+* with a ``cutoff`` (the clustering radius), pairs whose ``d_tables``
+  lower bound already exceeds it store that bound instead of the full
+  distance, which any threshold query at ``eps ≤ cutoff`` treats
+  identically to the true distance.
 
-Without a cutoff the matrix is exact and bitwise identical between the
-serial and parallel paths.  :class:`MatrixStats` reports what happened:
-pairs computed, pairs bound-skipped, cache hit rates, wall time.
+Populations the kernel cannot replay, and metrics that do not
+decompose, fall back to one ``metric(a, b)`` call per pair.
+:class:`MatrixStats` reports what happened: pairs computed, pairs
+bound-skipped, cache hit rates, wall time.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -35,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..obs import get_logger, metrics, trace
-from .parallel import compute_pairs, resolve_n_jobs
+from .kernel import KernelUnsupported, PackedPartition
 
 logger = get_logger(__name__)
 
@@ -47,6 +48,59 @@ def condensed_index(i: int, j: int, n: int) -> int:
     if i > j:
         i, j = j, i
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
+
+
+def is_decomposed(metric, items: Sequence) -> bool:
+    """True when ``metric``/``items`` support the ``d_tables + d_conj``
+    decomposition the vectorized fills require."""
+    return (hasattr(metric, "d_tables") and hasattr(metric, "d_conj")
+            and all(hasattr(item, "table_set") and hasattr(item, "cnf")
+                    for item in items))
+
+
+def table_partitions(items: Sequence, metric: Metric,
+                     ) -> tuple[list[frozenset], list[list[int]],
+                                np.ndarray]:
+    """Group ``items`` by canonical table set.
+
+    Returns ``(keys, members, bounds)``: the table sets in canonical
+    order (size, then names), the item indices of each, and the
+    symmetric P×P table of ``d_tables`` between the partitions'
+    representatives, zero on the diagonal.  One evaluation per
+    partition pair answers every cross-partition pair of that pair.
+    """
+    groups: dict[frozenset, list[int]] = {}
+    for index, item in enumerate(items):
+        groups.setdefault(item.table_set, []).append(index)
+    keys = sorted(groups, key=lambda k: (len(k), sorted(k)))
+    members = [groups[key] for key in keys]
+    p = len(keys)
+    bounds = np.zeros((p, p), dtype=float)
+    reps = [items[m[0]] for m in members]
+    for a in range(p):
+        for b in range(a + 1, p):
+            bounds[a, b] = bounds[b, a] = metric.d_tables(reps[a], reps[b])
+    return keys, members, bounds
+
+
+def exactness_of(bounds: np.ndarray) -> float:
+    """The smallest cross-partition ``d_tables`` of a bound table —
+    ``inf`` with fewer than two partitions."""
+    p = len(bounds)
+    if p < 2:
+        return math.inf
+    return float(bounds[~np.eye(p, dtype=bool)].min())
+
+
+def check_cutoff(cutoff: Optional[float], exactness: float) -> None:
+    """Refuse a partitioned layout whose query radius reaches the
+    partition exactness bound."""
+    if cutoff is not None and cutoff >= exactness:
+        raise ValueError(
+            f"cutoff {cutoff:g} is not below the partition exactness "
+            f"bound {exactness:.4g}: cross-partition entries would no "
+            f"longer answer threshold queries exactly; use the dense "
+            f"DistanceMatrix")
 
 
 @dataclass
@@ -66,7 +120,6 @@ class MatrixStats:
     predicate_cache_hits: int = 0
     predicate_cache_misses: int = 0
     elapsed_seconds: float = 0.0
-    n_jobs: int = 1
     cutoff: Optional[float] = None
     #: partition blocks stored (0 for the dense matrix)
     n_blocks: int = 0
@@ -131,7 +184,7 @@ class MatrixStats:
             f"d_tables memo {self.table_cache_hits:,} hits / "
             f"{self.table_pairs:,} entries; "
             f"d_pred cache hit rate {self.predicate_cache_hit_rate:.1%}; "
-            f"{self.elapsed_seconds:.3f} s with n_jobs={self.n_jobs}")
+            f"{self.elapsed_seconds:.3f} s")
 
     def record(self, registry) -> None:
         """Fold this run into a metrics registry (``repro_distance_*``).
@@ -189,84 +242,71 @@ class DistanceMatrix:
 
     @classmethod
     def compute(cls, items: Sequence, metric: Metric, *,
-                n_jobs: int = 1, cutoff: Optional[float] = None,
+                cutoff: Optional[float] = None,
                 registry: Optional[metrics.MetricsRegistry] = None,
                 ) -> "DistanceMatrix":
         """Evaluate ``metric`` over every unordered pair of ``items``.
 
-        ``n_jobs`` — worker processes (1 = serial, 0/None = all cores);
         ``cutoff`` — optional threshold enabling the partition-bound
         skip: entries whose ``d_tables`` lower bound already exceeds it
         store that bound instead of the full distance (only valid when
         every later query uses a radius ``≤ cutoff``);
         ``registry`` — metrics sink (defaults to the process-wide
-        registry); worker-process metrics are merged back into it.
+        registry).
         """
         n = len(items)
-        n_jobs = resolve_n_jobs(n_jobs)
         if registry is None:
             registry = metrics.get_registry()
         stats = MatrixStats(n_items=n, pairs_total=n * (n - 1) // 2,
-                            n_jobs=n_jobs, cutoff=cutoff,
+                            cutoff=cutoff,
                             stored_floats=n * (n - 1) // 2)
-        values = np.zeros(stats.pairs_total, dtype=float)
         started = time.perf_counter()
         pred_info = getattr(metric, "pred_cache_info", None)
         before = pred_info() if pred_info is not None else None
 
-        with trace.span("distance_matrix", n_items=n,
-                        n_jobs=n_jobs) as span:
-            decomposed = (hasattr(metric, "d_tables")
-                          and hasattr(metric, "d_conj")
-                          and all(hasattr(item, "table_set")
-                                  and hasattr(item, "cnf")
-                                  for item in items))
+        with trace.span("distance_matrix", n_items=n) as span:
+            decomposed = is_decomposed(metric, items)
             with trace.span("plan"):
                 if decomposed:
-                    work = cls._plan_decomposed(items, metric, cutoff,
-                                                values, stats)
+                    values = cls._gather_d_tables(items, metric, stats)
+                    exact = np.ones(len(values), dtype=bool) \
+                        if cutoff is None else values <= cutoff
                 else:
-                    work = [(condensed_index(i, j, n), i, j)
-                            for i in range(n) for j in range(i + 1, n)]
+                    values = np.zeros(stats.pairs_total, dtype=float)
+                    exact = np.ones(stats.pairs_total, dtype=bool)
+            stats.pairs_computed = int(exact.sum())
+            stats.pairs_skipped = stats.pairs_total - stats.pairs_computed
 
-            stats.pairs_computed = len(work)
-            mode = "serial" if n_jobs == 1 else "parallel"
-            chunk_seconds = registry.histogram(
-                "repro_distance_chunk_seconds", mode=mode)
-            worker_hits = worker_misses = 0
-            with trace.span("fill", pairs=len(work), mode=mode):
-                if n_jobs == 1:
-                    fill_started = time.perf_counter()
-                    if decomposed:
-                        cls._fill_decomposed(items, metric, work, values)
-                    else:
-                        for k, i, j in work:
-                            values[k] = metric(items[i], items[j])
-                    if work:
-                        chunk_seconds.observe(
-                            time.perf_counter() - fill_started)
+            fill_started = time.perf_counter()
+            with trace.span("fill", pairs=stats.pairs_computed) as fill:
+                pack = None
+                if decomposed and stats.pairs_computed:
+                    try:
+                        pack = PackedPartition(items, metric)
+                    except KernelUnsupported as exc:
+                        logger.debug("dense fill falls back to per-pair "
+                                     "evaluation: %s", exc)
+                mode = "serial" if pack is None else "kernel"
+                fill.set(mode=mode)
+                if pack is not None:
+                    # d_tables + d_conj, added in the oracle's order.
+                    values[exact] += pack.condensed_block()[exact]
                 else:
-                    entries, infos = compute_pairs(items, metric, work,
-                                                   n_jobs)
-                    for k, value in entries:
-                        values[k] = value
-                    for info in infos:
-                        trace.attach(info.span)
-                        chunk_seconds.observe(
-                            info.seconds,
-                            exemplar=info.span.get("span_id")
-                            if info.span else None)
-                        worker_hits += info.cache_hits
-                        worker_misses += info.cache_misses
-                    registry.merge_all(
-                        info.metrics for info in infos)
+                    for i in range(n - 1):
+                        start = i * (2 * n - i - 1) // 2
+                        row = exact[start:start + n - 1 - i]
+                        for offset in np.flatnonzero(row).tolist():
+                            values[start + offset] = metric(
+                                items[i], items[i + 1 + offset])
+            if stats.pairs_computed:
+                registry.histogram("repro_distance_chunk_seconds",
+                                   mode=mode).observe(
+                    time.perf_counter() - fill_started)
 
             if before is not None:
                 after = pred_info()
-                stats.predicate_cache_hits = (after.hits - before.hits
-                                              + worker_hits)
-                stats.predicate_cache_misses = (
-                    after.misses - before.misses + worker_misses)
+                stats.predicate_cache_hits = after.hits - before.hits
+                stats.predicate_cache_misses = after.misses - before.misses
             stats.elapsed_seconds = time.perf_counter() - started
             span.set(pairs_computed=stats.pairs_computed,
                      pairs_skipped=stats.pairs_skipped)
@@ -285,43 +325,23 @@ class DistanceMatrix:
         return cls(n, matrix[np.triu_indices(n, k=1)])
 
     @staticmethod
-    def _plan_decomposed(items: Sequence, metric: Metric,
-                         cutoff: Optional[float], values: np.ndarray,
-                         stats: MatrixStats) -> list[tuple[int, int, int]]:
-        """Memoize ``d_tables`` per relation-set pair; bound-skip blocks."""
+    def _gather_d_tables(items: Sequence, metric: Metric,
+                         stats: MatrixStats) -> np.ndarray:
+        """``d_tables`` of every pair in the condensed layout, gathered
+        from the per-partition-pair table."""
         n = len(items)
-        table_sets = [item.table_set for item in items]
-        memo: dict[frozenset, float] = {}
-        work: list[tuple[int, int, int]] = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                key = frozenset((table_sets[i], table_sets[j]))
-                d_tables = memo.get(key)
-                if d_tables is None:
-                    d_tables = metric.d_tables(items[i], items[j])
-                    memo[key] = d_tables
-                else:
-                    stats.table_cache_hits += 1
-                k = condensed_index(i, j, n)
-                if cutoff is not None and d_tables > cutoff:
-                    # d = d_tables + d_conj ≥ d_tables > cutoff: the exact
-                    # lower bound answers every query at radius ≤ cutoff.
-                    values[k] = d_tables
-                    stats.pairs_skipped += 1
-                else:
-                    work.append((k, i, j))
-        stats.table_pairs = len(memo)
-        return work
-
-    @staticmethod
-    def _fill_decomposed(items: Sequence, metric: Metric,
-                         work: list[tuple[int, int, int]],
-                         values: np.ndarray) -> None:
-        # d_tables is re-derived from the memo-equivalent pure function,
-        # so ``d_tables + d_conj`` reproduces ``metric(a, b)`` bitwise.
-        for k, i, j in work:
-            values[k] = (metric.d_tables(items[i], items[j])
-                         + metric.d_conj(items[i].cnf, items[j].cnf))
+        keys, members, bounds = table_partitions(items, metric)
+        pids = np.empty(n, dtype=np.intp)
+        for pid, member_list in enumerate(members):
+            pids[member_list] = pid
+        values = np.empty(n * (n - 1) // 2, dtype=float)
+        for i in range(n - 1):
+            start = i * (2 * n - i - 1) // 2
+            values[start:start + n - 1 - i] = bounds[pids[i], pids[i + 1:]]
+        p = len(keys)
+        stats.table_pairs = p * (p - 1) // 2
+        stats.table_cache_hits = stats.pairs_total - stats.table_pairs
+        return values
 
     # -- lookups ------------------------------------------------------------
 

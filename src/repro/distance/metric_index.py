@@ -59,20 +59,16 @@ condensed block.  It additionally exposes ``range_query(i, eps)``
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-try:  # pragma: no cover - numpy is present in the supported toolchain
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..obs import get_logger, metrics, trace
-from .kernel import KernelUnsupported, PackedPartition
-from .matrix import DistanceMatrix, MatrixStats
-from .parallel import _evaluate_partition
+from .kernel import KernelUnsupported, PackedPartition, _evaluate_partition
+from .matrix import (DistanceMatrix, MatrixStats, check_cutoff,
+                     exactness_of, is_decomposed, table_partitions)
 
 logger = get_logger(__name__)
 
@@ -417,12 +413,7 @@ class VPTreeIndex:
             self._local_buf[m] = np.arange(len(m), dtype=np.intp)
         if n and int(self._pids_buf.min()) < 0:
             raise ValueError("partitions do not cover every item")
-        p = len(self._keys)
-        if p >= 2:
-            off_diagonal = self._bounds[~np.eye(p, dtype=bool)]
-            self.exactness_bound = float(off_diagonal.min())
-        else:
-            self.exactness_bound = math.inf
+        self.exactness_bound = exactness_of(self._bounds)
         # SingleLinkage/OPTICS probe value(i, j) i-major: one cached
         # local row turns the per-pair probes into a per-row amortized
         # vectorized evaluation.
@@ -459,10 +450,6 @@ class VPTreeIndex:
         for them.  Key semantics match
         :meth:`~repro.distance.block_sparse.BlockSparseDistanceMatrix.compute`.
         """
-        if np is None:
-            raise ValueError("the vptree backend requires numpy; "
-                             "use the matrix backend instead")
-        from .block_sparse import is_decomposed
         if not is_decomposed(metric, items):
             raise ValueError(
                 "vptree index requires a decomposed metric "
@@ -474,29 +461,9 @@ class VPTreeIndex:
         started = time.perf_counter()
 
         with trace.span("vptree_index", n_items=n) as span:
-            groups: dict[frozenset, list[int]] = {}
-            for index, item in enumerate(items):
-                groups.setdefault(item.table_set, []).append(index)
-            keys = sorted(groups, key=lambda k: (len(k), sorted(k)))
-            members = [groups[key] for key in keys]
+            keys, members, bounds = table_partitions(items, metric)
             p = len(keys)
-
-            bounds = np.zeros((p, p), dtype=float)
-            reps = [items[m[0]] for m in members]
-            for a in range(p):
-                for b in range(a + 1, p):
-                    value = metric.d_tables(reps[a], reps[b])
-                    bounds[a, b] = bounds[b, a] = value
-            if p >= 2:
-                exactness = float(bounds[~np.eye(p, dtype=bool)].min())
-            else:
-                exactness = math.inf
-            if cutoff is not None and cutoff >= exactness:
-                raise ValueError(
-                    f"cutoff {cutoff:g} is not below the partition "
-                    f"exactness bound {exactness:.4g}: cross-partition "
-                    f"entries would no longer answer threshold queries "
-                    f"exactly; use the dense DistanceMatrix")
+            check_cutoff(cutoff, exactness_of(bounds))
 
             block_key_of = None
             if store is not None:
@@ -533,9 +500,8 @@ class VPTreeIndex:
                                 and len(loaded) == m * (m - 1) // 2:
                             values = np.asarray(loaded, dtype=float)
                     if values is None:
-                        raw, _ = _evaluate_partition(metric, items,
-                                                     member_list)
-                        values = np.asarray(raw, dtype=float)
+                        values = np.asarray(_evaluate_partition(
+                            metric, items, member_list), dtype=float)
                         if block_id is not None:
                             store.blocks.save(block_id, values)
                     block = DistanceMatrix(m, values)
@@ -630,9 +596,7 @@ class VPTreeIndex:
                 self._parts.append(_MatrixPart(_GrowableBlock(
                     DistanceMatrix(1, np.zeros(0, dtype=float)))))
                 self.vpstats.fallback_partitions += 1
-            if p >= 1:
-                off = bounds[~np.eye(p + 1, dtype=bool)]
-                self.exactness_bound = float(off.min())
+            self.exactness_bound = exactness_of(bounds)
             self.stats.n_blocks = p + 1
         else:
             members = self._members[pid]

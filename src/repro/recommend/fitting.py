@@ -58,7 +58,6 @@ def fit_from_areas(areas: Sequence[AccessArea],
                    min_pts: int = 5,
                    matrix_mode: str = "auto",
                    neighbor_backend: str = "matrix",
-                   n_jobs: int = 1,
                    resolution: float = 0.05,
                    min_cluster_size: int = 5,
                    sigma: float = 3.0):
@@ -72,7 +71,6 @@ def fit_from_areas(areas: Sequence[AccessArea],
     unique, weights, _ = dedupe_areas(areas)
     metric = QueryDistance(stats)
     matrix = compute_matrix(unique, metric, mode=matrix_mode, eps=eps,
-                            n_jobs=n_jobs,
                             neighbor_backend=neighbor_backend)
     clustering = partitioned_dbscan(unique, metric, eps, min_pts,
                                     matrix=matrix, weights=weights,

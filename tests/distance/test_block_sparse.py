@@ -1,15 +1,20 @@
 """BlockSparseDistanceMatrix: dense parity, bound semantics, stats."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from repro.algebra.cnf import CNF, Clause
+from repro.algebra.predicates import ColumnConstantPredicate, ColumnRef, Op
 from repro.clustering import DBSCAN, OPTICS, SingleLinkage, partitioned_dbscan
+from repro.core.area import AccessArea
 from repro.core.extractor import AccessAreaExtractor
 from repro.distance import (BlockSparseDistanceMatrix, DistanceMatrix,
                             QueryDistance, compute_matrix,
                             partition_exactness_bound)
+from repro.obs.metrics import MetricsRegistry
 from repro.schema import StatisticsCatalog
 from repro.schema.skyserver import CONTENT_BOUNDS, skyserver_schema
 from repro.workload import WorkloadConfig, generate_workload
@@ -35,6 +40,15 @@ def population():
     for area in areas:
         stats.observe_cnf(area.cnf)
     return areas, QueryDistance(stats)
+
+
+def _unsupported(area):
+    """``area`` plus a boolean-constant clause: same table set, but a
+    population the vectorized kernel refuses to replay."""
+    ghost = ColumnRef(area.relations[0], "ghost_flag")
+    return AccessArea(area.relations, CNF.of(
+        list(area.cnf.clauses)
+        + [Clause.of([ColumnConstantPredicate(ghost, Op.NE, True)])]))
 
 
 @pytest.fixture(scope="module")
@@ -188,14 +202,29 @@ class TestConstruction:
         assert matrix.exactness_bound == math.inf
         assert matrix.n_partitions == 1
 
-    def test_serial_parallel_identical(self, population):
+    @pytest.mark.parametrize("unsupported", [False, True])
+    def test_blocks_equal_per_pair_oracle(self, population,
+                                          unsupported):
+        """Every stored in-partition entry is bitwise ``metric(a, b)``,
+        whether the kernel packed the partition or fell back."""
         areas, metric = population
-        serial = BlockSparseDistanceMatrix.compute(areas, metric,
-                                                   n_jobs=1)
-        parallel = BlockSparseDistanceMatrix.compute(areas, metric,
-                                                     n_jobs=2)
-        for i in range(0, len(areas), 7):
-            assert list(serial.row(i)) == list(parallel.row(i))
+        if unsupported:
+            areas = [_unsupported(a) if k % 5 == 0 else a
+                     for k, a in enumerate(areas)]
+        registry = MetricsRegistry()
+        matrix = BlockSparseDistanceMatrix.compute(
+            areas, QueryDistance(metric.stats), registry=registry)
+        fallbacks = registry.counter(
+            "repro_kernel_partitions_fallback_total").value
+        assert (fallbacks > 0) == unsupported
+        oracle = QueryDistance(metric.stats)
+        for _, members in matrix.partitions():
+            for a, i in enumerate(members):
+                for j in members[a + 1:]:
+                    got = matrix.value(int(i), int(j))
+                    want = oracle(areas[i], areas[j])
+                    assert struct.pack("<d", got) \
+                        == struct.pack("<d", want), (i, j, got, want)
 
 
 class TestStats:
@@ -246,7 +275,7 @@ class TestComputeMatrixFactory:
         areas, metric = population
         assert isinstance(compute_matrix(areas, metric, mode="dense"),
                           DistanceMatrix)
-        assert isinstance(compute_matrix(areas, metric, mode="sparse",
+        assert isinstance(compute_matrix(areas, metric, mode="kernel",
                                          eps=EPS),
                           BlockSparseDistanceMatrix)
 
@@ -254,6 +283,18 @@ class TestComputeMatrixFactory:
         areas, metric = population
         matrix = compute_matrix(areas, metric, mode="auto", eps=EPS)
         assert isinstance(matrix, BlockSparseDistanceMatrix)
+
+    def test_auto_packs_every_partition_below_bound(self, population):
+        areas, metric = population
+        registry = MetricsRegistry()
+        matrix = compute_matrix(areas, metric, mode="auto", eps=EPS,
+                                registry=registry)
+        packed = registry.counter(
+            "repro_kernel_partitions_packed_total").value
+        assert matrix.stats.n_blocks > 1
+        assert packed == matrix.stats.n_blocks
+        assert registry.counter(
+            "repro_kernel_partitions_fallback_total").value == 0
 
     def test_auto_picks_dense_at_bound(self, population, sparse):
         areas, metric = population
@@ -277,13 +318,21 @@ class TestInsertRow:
     """Incremental growth parity: a matrix grown row by row must be
     indistinguishable — bitwise — from one computed from scratch."""
 
-    @pytest.mark.parametrize("engine", ["kernel", "python"])
-    def test_grown_matrix_matches_recompute(self, population, engine):
+    @pytest.mark.parametrize("path", ["kernel", "python"])
+    def test_grown_matrix_matches_recompute(self, population, path):
+        """``python``: every fourth area carries a constant the kernel
+        refuses, so those partitions grow through the per-pair
+        oracle."""
         areas, metric = population
+        if path == "python":
+            areas = [_unsupported(a) if k % 4 == 0 else a
+                     for k, a in enumerate(areas)]
         prefix, suffix = areas[:40], areas[40:60]
         grown = BlockSparseDistanceMatrix.compute(prefix, metric)
         for area in suffix:
-            grown.insert_row(area, metric, engine=engine)
+            grown.insert_row(area, metric)
+        # A partition the kernel refused is served by the oracle.
+        assert (None in grown._packs.values()) == (path == "python")
         ref = BlockSparseDistanceMatrix.compute(prefix + suffix, metric)
         assert grown.n == ref.n
         assert grown.exactness_bound == ref.exactness_bound
@@ -300,12 +349,16 @@ class TestInsertRow:
         assert np.array_equal(grown.to_square(), ref.to_square())
 
     def test_mixed_engines_stay_consistent(self, population):
+        """Kernel rows first, then an unsupported arrival retires the
+        partition's pack and later rows come from the oracle."""
         areas, metric = population
+        areas = [_unsupported(a) if k % 9 == 8 else a
+                 for k, a in enumerate(areas[:40])]
         grown = BlockSparseDistanceMatrix.compute(areas[:10], metric)
-        for k, area in enumerate(areas[10:40]):
-            grown.insert_row(area, metric,
-                             engine="kernel" if k % 3 else "python")
-        ref = BlockSparseDistanceMatrix.compute(areas[:40], metric)
+        for area in areas[10:40]:
+            grown.insert_row(area, metric)
+        assert None in grown._packs.values()
+        ref = BlockSparseDistanceMatrix.compute(areas, metric)
         assert np.array_equal(grown.to_square(), ref.to_square())
 
     def test_stats_pair_accounting(self, population):

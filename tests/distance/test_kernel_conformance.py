@@ -17,9 +17,14 @@ oracle order-dependent, > 2^53 integers at resolution 0, footprint
 widths that overflow float64 — are pinned separately: the partition
 falls back to the oracle path and the produced block still matches by
 construction.
+
+The dense matrix runs the same pack over a *mixed* population (several
+table sets at once) and adds the ``d_tables`` term itself; its entries
+must equal ``metric(a, b)`` bit for bit too.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -32,16 +37,12 @@ from repro.algebra.predicates import (ColumnColumnPredicate,
                                       ColumnConstantPredicate, ColumnRef,
                                       Op)
 from repro.core.area import AccessArea
-from repro.distance import QueryDistance, condensed_index
+from repro.distance import DistanceMatrix, QueryDistance, condensed_index
 from repro.distance.kernel import (KernelUnsupported, PackedPartition,
-                                   compute_kernel_blocks,
-                                   kernel_available)
-from repro.distance.parallel import _evaluate_partition
+                                   compute_kernel_blocks)
+from repro.obs.metrics import MetricsRegistry
 from repro.schema import (Column, ColumnType, Relation, Schema,
                           StatisticsCatalog)
-
-pytestmark = pytest.mark.skipif(not kernel_available(),
-                                reason="kernel requires numpy")
 
 def _dist_stats():
     """The conftest ``stats`` catalog, rebuilt per hypothesis example
@@ -78,8 +79,9 @@ def _oracle_block(stats, areas, resolution):
     """Per-pair pure-Python condensed block with a fresh metric (no
     cache cross-talk with the kernel's pack-time oracle calls)."""
     metric = QueryDistance(stats, resolution=resolution)
-    values, _ = _evaluate_partition(metric, areas, range(len(areas)))
-    return values
+    m = len(areas)
+    return [metric(areas[a], areas[b])
+            for a in range(m) for b in range(a + 1, m)]
 
 
 def _assert_block_matches(stats, areas, resolution, *,
@@ -145,6 +147,48 @@ populations = st.lists(areas, min_size=1, max_size=10)
 
 resolutions = st.sampled_from([0.0, 0.01, 0.05])
 
+S_B = ColumnRef("S", "b")
+S_U = ColumnRef("S", "u")
+
+# Mixed populations for the dense matrix: three table sets, predicates
+# on both relations (cross-relation pairs take the coverage path).
+mixed_predicates = st.one_of(
+    predicates,
+    st.builds(ColumnConstantPredicate, st.sampled_from([S_B, S_U]),
+              st.sampled_from(OPS), numeric_values))
+
+mixed_areas = st.builds(
+    lambda relations, cl: AccessArea(relations, CNF.of(cl)),
+    st.sampled_from([("T",), ("S",), ("S", "T")]),
+    st.lists(st.lists(mixed_predicates, min_size=0, max_size=3)
+             .map(Clause.of), min_size=0, max_size=4))
+
+
+def _assert_dense_matches(stats, areas, resolution, cutoff, *,
+                          expect_packed):
+    """Every dense entry is bitwise ``metric(a, b)`` — or, above the
+    cutoff, the ``d_tables`` lower bound stored in its place."""
+    registry = MetricsRegistry()
+    matrix = DistanceMatrix.compute(
+        areas, QueryDistance(stats, resolution=resolution), cutoff=cutoff,
+        registry=registry)
+    if matrix.stats.pairs_computed:
+        mode = "kernel" if expect_packed else "serial"
+        assert registry.histogram("repro_distance_chunk_seconds",
+                                  mode=mode).count == 1
+    oracle = QueryDistance(stats, resolution=resolution)
+    n = len(areas)
+    for i in range(n):
+        for j in range(i + 1, n):
+            want = oracle(areas[i], areas[j])
+            d_tables = oracle.d_tables(areas[i], areas[j])
+            if cutoff is not None and d_tables > cutoff:
+                want = d_tables
+            got = matrix.condensed[condensed_index(i, j, n)]
+            assert struct.pack("<d", got) == struct.pack("<d", want), (
+                f"pair ({i}, {j}): matrix {got!r} != oracle {want!r}")
+    return matrix
+
 
 class TestHypothesisConformance:
     @settings(max_examples=60, deadline=None)
@@ -169,6 +213,17 @@ class TestHypothesisConformance:
             for j, value in zip(others, row):
                 assert value == block[condensed_index(i, j, m)]
             assert pack.pair_rows(i, [i])[0] == 0.0
+
+
+class TestDenseMatrixConformance:
+    @settings(max_examples=40, deadline=None)
+    @given(population=st.lists(mixed_areas, min_size=2, max_size=10),
+           resolution=resolutions,
+           cutoff=st.sampled_from([None, 0.12, 0.6]))
+    def test_mixed_table_sets_match_oracle_bitwise(self, population,
+                                                   resolution, cutoff):
+        _assert_dense_matches(_dist_stats(), population, resolution,
+                              cutoff, expect_packed=True)
 
 
 def _area(*clause_preds):
@@ -214,6 +269,24 @@ class TestUnsupportedFallsBackExactly:
         good = _area([ColumnConstantPredicate(T_A, Op.EQ, 1)])
         _assert_block_matches(stats, [bad, good], 0.01,
                               expect_packed=False)
+
+    def test_bool_constant_dense_matrix(self, stats):
+        # One refused area sends the whole dense fill down the per-pair
+        # path; the entries must still be the oracle's.
+        s_area = AccessArea(("S",), CNF.of([Clause.of(
+            [ColumnConstantPredicate(S_B, Op.GE, 2.0)])]))
+        population = [
+            _area([ColumnConstantPredicate(T_A, Op.EQ, True)]),
+            _area([ColumnConstantPredicate(T_A, Op.LE, 3.0)]),
+            _area([ColumnConstantPredicate(T_A1, Op.GT, 1.0)]),
+            s_area,
+        ]
+        with pytest.raises(KernelUnsupported):
+            PackedPartition(population, QueryDistance(stats))
+        for cutoff in (None, 0.12):
+            matrix = _assert_dense_matches(stats, population, 0.01,
+                                           cutoff, expect_packed=False)
+            assert matrix.stats.pairs_computed > 0
 
     def test_huge_int_at_resolution_zero(self, stats):
         # > 2^53: not exactly representable in float64, so the width
@@ -289,22 +362,27 @@ class TestDegenerateAccessWidths:
 
 
 class TestKernelMatrixMode:
-    def test_kernel_mode_equals_sparse_mode(self, stats):
+    def test_kernel_mode_equals_per_pair_oracle(self, stats):
         from repro.distance.block_sparse import compute_matrix
         population = [
             _area([ColumnConstantPredicate(T_A, Op.LE, float(i))])
             for i in range(5)
         ] + [
             AccessArea(("S",), CNF.of([Clause.of(
-                [ColumnConstantPredicate(ColumnRef("S", "b"), Op.GE,
-                                         float(i))])]))
+                [ColumnConstantPredicate(S_B, Op.GE, float(i))])]))
             for i in range(4)
         ]
-        sparse = compute_matrix(population, QueryDistance(stats),
-                                mode="sparse", eps=0.12)
         kernel = compute_matrix(population, QueryDistance(stats),
                                 mode="kernel", eps=0.12)
-        assert type(sparse) is type(kernel)
-        for i in range(len(population)):
-            assert list(sparse.row(i)) == list(kernel.row(i))
-            assert sparse.neighbors(i, 0.12) == kernel.neighbors(i, 0.12)
+        dense = compute_matrix(population, QueryDistance(stats),
+                               mode="dense", eps=0.12)
+        oracle = QueryDistance(stats)
+        n = len(population)
+        for i in range(n):
+            for j in range(n):
+                a, b = population[i], population[j]
+                want = 0.0 if i == j else (
+                    oracle(a, b) if a.table_set == b.table_set
+                    else oracle.d_tables(a, b))
+                assert kernel.value(i, j) == want, (i, j)
+            assert kernel.neighbors(i, 0.12) == dense.neighbors(i, 0.12)

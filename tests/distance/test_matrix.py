@@ -1,11 +1,13 @@
 """Parity tests for the shared distance-matrix engine.
 
-The engine must be a pure optimization: the parallel matrix equals the
-serial matrix and the naive double loop *bitwise*, the stats counters
+The engine must be a pure optimization: the packed fill equals the
+per-pair metric and the naive double loop *bitwise*, the stats counters
 account for every pair, and every clustering algorithm produces the
 same labels whether it evaluates the callable itself or consumes a
 precomputed matrix.
 """
+
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from repro.clustering import (DBSCAN, OPTICS, SingleLinkage,
                               partitioned_dbscan)
 from repro.core import AccessAreaExtractor, process_log
 from repro.distance import DistanceMatrix, QueryDistance, condensed_index
+from repro.obs.metrics import MetricsRegistry
 from repro.schema import StatisticsCatalog, skyserver_schema
 from repro.schema.skyserver import CONTENT_BOUNDS
 from repro.workload import WorkloadConfig, generate_workload
@@ -39,7 +42,7 @@ def _metric(stats):
     return QueryDistance(stats, resolution=0.05)
 
 
-# -- matrix vs naive loop vs parallel ---------------------------------------
+# -- matrix vs naive loop vs per-pair oracle --------------------------------
 
 def test_serial_matrix_equals_naive_double_loop(population):
     areas, stats = population
@@ -48,12 +51,29 @@ def test_serial_matrix_equals_naive_double_loop(population):
     assert np.array_equal(matrix.to_square(), naive)
 
 
-def test_parallel_matrix_equals_serial(population):
+@pytest.mark.parametrize("cutoff", [None, EPS])
+def test_packed_fill_equals_per_pair_metric_bitwise(population, cutoff):
+    """One global pack over mixed table sets reproduces ``metric(a, b)``
+    bit for bit; below the cutoff every entry is exact, above it the
+    entry is the ``d_tables`` lower bound."""
     areas, stats = population
-    serial = DistanceMatrix.compute(areas, _metric(stats))
-    parallel = DistanceMatrix.compute(areas, _metric(stats), n_jobs=2)
-    assert np.array_equal(parallel.condensed, serial.condensed)
-    assert parallel.stats.n_jobs == 2
+    assert len({area.table_set for area in areas}) > 1
+    registry = MetricsRegistry()
+    matrix = DistanceMatrix.compute(areas, _metric(stats), cutoff=cutoff,
+                                    registry=registry)
+    assert registry.histogram("repro_distance_chunk_seconds",
+                              mode="kernel").count == 1
+    oracle = _metric(stats)
+    n = len(areas)
+    for i in range(n):
+        for j in range(i + 1, n):
+            want = oracle(areas[i], areas[j])
+            d_tables = oracle.d_tables(areas[i], areas[j])
+            if cutoff is not None and d_tables > cutoff:
+                want = d_tables
+            got = matrix.condensed[condensed_index(i, j, n)]
+            assert struct.pack("<d", got) == struct.pack("<d", want), \
+                (i, j, got, want)
 
 
 def test_stats_counters_account_for_every_pair(population):
@@ -70,7 +90,10 @@ def test_stats_counters_account_for_every_pair(population):
     # Every d_tables evaluation beyond one per distinct set pair is a hit.
     assert cut.stats.table_cache_hits \
         == cut.stats.pairs_total - cut.stats.table_pairs
-    assert cut.stats.predicate_cache_hits > 0
+    # The packed fill never falls back to the per-pair oracle here, so
+    # its predicate-pair LRU sees no traffic at all.
+    assert cut.stats.predicate_cache_hits == 0
+    assert cut.stats.predicate_cache_misses == 0
     assert 0.0 < cut.stats.skip_fraction < 1.0
     assert "bound-skipped" in cut.stats.summary()
 
@@ -146,19 +169,12 @@ def test_constructor_rejects_wrong_length():
 
 
 def test_generic_metric_without_table_decomposition():
-    """Plain callables (no d_tables/d_conj hooks) still work, serially
-    and in parallel."""
+    """Plain callables (no d_tables/d_conj hooks) fill per pair."""
     items = [0.0, 1.5, 4.0, 9.5]
-    metric = _absolute_difference
-    serial = DistanceMatrix.compute(items, metric)
-    parallel = DistanceMatrix.compute(items, metric, n_jobs=2)
-    assert serial.value(1, 3) == 8.0
-    assert np.array_equal(parallel.condensed, serial.condensed)
-
-
-def _absolute_difference(a, b):
-    # Module-level so the parallel path can pickle it.
-    return abs(a - b)
+    matrix = DistanceMatrix.compute(items, lambda a, b: abs(a - b))
+    assert matrix.value(1, 3) == 8.0
+    assert list(matrix.condensed) == [1.5, 4.0, 9.5, 2.5, 8.0, 5.5]
+    assert matrix.stats.pairs_computed == 6
 
 
 # -- clustering parity ------------------------------------------------------
@@ -200,10 +216,7 @@ def test_partitioned_dbscan_identical_across_engines(population):
     matrix = DistanceMatrix.compute(areas, _metric(stats), cutoff=EPS)
     precomputed = partitioned_dbscan(areas, None, EPS, min_pts=3,
                                      matrix=matrix)
-    fanned_out = partitioned_dbscan(areas, _metric(stats), EPS, min_pts=3,
-                                    n_jobs=2)
     assert precomputed.labels == legacy.labels
-    assert fanned_out.labels == legacy.labels
 
 
 def test_clustering_argument_validation(population):
@@ -230,7 +243,8 @@ def test_pipeline_report_hands_off_matrix(population):
     workload = generate_workload(WorkloadConfig(n_queries=40, seed=3))
     report = process_log(workload.log.statements(),
                          AccessAreaExtractor(schema), keep_failures=False)
-    matrix = report.distance_matrix(_metric(stats), cutoff=EPS)
+    matrix = DistanceMatrix.compute(report.areas(), _metric(stats),
+                                    cutoff=EPS)
     assert len(matrix) == report.extraction_count
     assert matrix.stats.pairs_computed + matrix.stats.pairs_skipped \
         == matrix.stats.pairs_total

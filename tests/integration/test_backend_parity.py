@@ -5,7 +5,7 @@ dense oracle path, so every clustering algorithm must produce
 **identical labels** — not merely similar clusterings — whichever
 backend computed its distances.  Checked for all four algorithms
 (DBSCAN, partitioned DBSCAN, OPTICS, single linkage) across the
-dense / sparse / kernel matrix modes and the vptree neighbour backend,
+dense / kernel matrix modes and the vptree neighbour backend,
 with interning on and off, on two very different populations: the
 SkyServer workload generator (the paper's case-study shape) and a
 QA-harness random profile (adversarially unstructured schemas and
@@ -35,8 +35,8 @@ MIN_PTS = 3
 
 #: (matrix_mode, neighbor_backend) triples under test; dense/matrix is
 #: the reference.
-BACKENDS = [("dense", "matrix"), ("sparse", "matrix"),
-            ("kernel", "matrix"), ("auto", "vptree")]
+BACKENDS = [("dense", "matrix"), ("kernel", "matrix"),
+            ("auto", "vptree")]
 
 
 def _skyserver_population():

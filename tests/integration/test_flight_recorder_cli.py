@@ -42,34 +42,6 @@ class TestRunRecords:
         counters = {c["name"] for c in record["metrics"]["counters"]}
         assert "repro_pipeline_statements_total" in counters
 
-    def test_parallel_run_stitches_worker_spans(self, small_log,
-                                                tmp_path, capsys):
-        runs = tmp_path / "runs"
-        trace_path = tmp_path / "trace.jsonl"
-        assert main(["process", str(small_log), "--sample", "120",
-                     "--n-jobs", "2", "--runs-dir", str(runs),
-                     "--trace-out", str(trace_path)]) == 0
-        capsys.readouterr()
-        roots = [json.loads(line) for line
-                 in trace_path.read_text().splitlines()]
-        matrix_roots = [r for r in roots
-                        if "matrix" in r["name"]]
-        assert len(matrix_roots) == 1, "one stitched tree expected"
-        root = matrix_roots[0]
-
-        def collect(node, out):
-            out.append(node)
-            for child in node.get("children", ()):
-                collect(child, out)
-
-        nodes = []
-        collect(root, nodes)
-        worker_spans = [n for n in nodes
-                        if (n.get("attrs") or {}).get("pid")]
-        assert worker_spans, "worker-side spans must be stitched in"
-        assert {n.get("trace_id") for n in worker_spans} \
-            == {root["trace_id"]}
-
     def test_no_run_record_opts_out(self, small_log, tmp_path,
                                     capsys):
         runs = tmp_path / "runs"

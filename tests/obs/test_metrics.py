@@ -116,38 +116,6 @@ class TestRegistry:
         finally:
             set_registry(original)
 
-    def test_merge_adds_counters_and_pools_histograms(self):
-        worker = MetricsRegistry()
-        worker.counter("repro_pairs_total").inc(10)
-        for value in (1.0, 2.0, 3.0):
-            worker.histogram("repro_seconds").observe(value)
-        worker.gauge("repro_g").set(7)
-
-        parent = MetricsRegistry()
-        parent.counter("repro_pairs_total").inc(5)
-        parent.histogram("repro_seconds").observe(10.0)
-
-        parent.merge(worker.snapshot())
-        assert parent.counter("repro_pairs_total").value == 15
-        histogram = parent.histogram("repro_seconds")
-        assert histogram.count == 4
-        assert histogram.minimum == 1.0
-        assert histogram.maximum == 10.0
-        assert histogram.total == 16.0
-        assert parent.gauge("repro_g").value == 7
-
-    def test_merge_without_reservoir_keeps_summary_stats(self):
-        worker = MetricsRegistry()
-        for value in (1.0, 5.0):
-            worker.histogram("repro_seconds").observe(value)
-        snapshot = worker.snapshot(include_reservoir=False)
-        parent = MetricsRegistry()
-        parent.merge(snapshot)
-        histogram = parent.histogram("repro_seconds")
-        assert histogram.count == 2
-        assert histogram.minimum == 1.0
-        assert histogram.maximum == 5.0
-
 
 class TestNullRegistry:
     def test_all_instruments_are_noops(self):

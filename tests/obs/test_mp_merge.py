@@ -1,20 +1,9 @@
-"""Worker-metric aggregation across the multiprocessing fan-out.
+"""Registry routing of the matrix engine's metrics, and the zero-overhead
+claim for the disabled (null) instruments."""
 
-Workers cannot share the parent's :class:`MetricsRegistry`; instead each
-evaluated chunk ships a :class:`BlockInfo` back over the existing IPC
-channel and the parent folds them into its own registry.  These tests
-pin that protocol — plus the snapshot/merge picklability it rests on —
-and the zero-overhead claim for the disabled (null) instruments.
-"""
-
-import pickle
 import time
 
-import numpy as np
-import pytest
-
 from repro.distance.matrix import DistanceMatrix
-from repro.distance.parallel import BlockInfo, compute_pairs
 from repro.obs.metrics import (MetricsRegistry, NullRegistry,
                                use_registry)
 from repro.obs.trace import NULL_TRACER
@@ -24,95 +13,7 @@ def _metric(a: float, b: float) -> float:
     return abs(a - b)
 
 
-def _pairs(n: int) -> list[tuple[int, int, int]]:
-    pairs, k = [], 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairs.append((k, i, j))
-            k += 1
-    return pairs
-
-
-class TestComputePairsBlockInfo:
-    def test_serial_reports_one_info_per_chunk(self):
-        items = [float(v) for v in range(10)]
-        pairs = _pairs(10)  # 45 pairs
-        entries, infos = compute_pairs(items, _metric, pairs,
-                                       n_jobs=1, chunk_pairs=20)
-        assert len(entries) == 45
-        assert [info.pairs for info in infos] == [20, 20, 5]
-        assert all(info.seconds >= 0.0 for info in infos)
-        assert all(isinstance(info, BlockInfo) for info in infos)
-
-    def test_parallel_infos_cover_every_pair(self):
-        items = [float(v) for v in range(12)]
-        pairs = _pairs(12)  # 66 pairs
-        entries, infos = compute_pairs(items, _metric, pairs,
-                                       n_jobs=2, chunk_pairs=16)
-        assert sum(info.pairs for info in infos) == 66
-        # Values match the serial evaluation exactly, order aside.
-        serial, _ = compute_pairs(items, _metric, pairs, n_jobs=1)
-        assert dict(entries) == dict(serial)
-
-    def test_empty_work_is_fine(self):
-        entries, infos = compute_pairs([], _metric, [], n_jobs=4)
-        assert entries == []
-        assert infos == []
-
-
-class TestRegistryMergeAcrossProcesses:
-    def test_snapshot_is_picklable(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_x_total", kind="a").inc(3)
-        registry.histogram("repro_seconds").observe(0.5)
-        snapshot = registry.snapshot(include_reservoir=True)
-        restored = pickle.loads(pickle.dumps(snapshot))
-        parent = MetricsRegistry()
-        parent.merge(restored)
-        assert parent.counter("repro_x_total", kind="a").value == 3
-        assert parent.histogram("repro_seconds").count == 1
-
-    def test_simulated_worker_fanout(self):
-        # Each "worker" fills its own registry; the parent merges all
-        # snapshots — counters add, histogram stats pool.
-        snapshots = []
-        for worker in range(3):
-            registry = MetricsRegistry()
-            registry.counter("repro_pairs_computed_total").inc(10)
-            for value in range(worker + 1):
-                registry.histogram("repro_chunk_seconds").observe(
-                    0.1 * (value + 1))
-            snapshots.append(pickle.loads(
-                pickle.dumps(registry.snapshot())))
-        parent = MetricsRegistry()
-        for snapshot in snapshots:
-            parent.merge(snapshot)
-        assert parent.counter("repro_pairs_computed_total").value == 30
-        histogram = parent.histogram("repro_chunk_seconds")
-        assert histogram.count == 6  # 1 + 2 + 3
-        assert histogram.minimum == pytest.approx(0.1)
-        assert histogram.maximum == pytest.approx(0.3)
-
-
 class TestDistanceMatrixParallelMetrics:
-    def test_parallel_run_lands_in_parent_registry(self):
-        registry = MetricsRegistry()
-        items = [float(v) for v in range(30)]  # 435 pairs
-        with use_registry(registry):
-            matrix = DistanceMatrix.compute(items, _metric, n_jobs=2)
-        assert registry.counter(
-            "repro_distance_pairs_computed_total").value == 435
-        chunk = registry.histogram("repro_distance_chunk_seconds",
-                                   mode="parallel")
-        assert chunk.count >= 1
-        matrix_seconds = registry.histogram(
-            "repro_distance_matrix_seconds")
-        assert matrix_seconds.count == 1
-        # And the values themselves match the serial path.
-        serial = DistanceMatrix.compute(items, _metric, n_jobs=1,
-                                        registry=MetricsRegistry())
-        np.testing.assert_array_equal(matrix.condensed, serial.condensed)
-
     def test_explicit_registry_bypasses_global(self):
         global_registry = MetricsRegistry()
         private = MetricsRegistry()
@@ -122,67 +23,6 @@ class TestDistanceMatrixParallelMetrics:
         assert global_registry.snapshot()["counters"] == []
         assert private.counter(
             "repro_distance_pairs_computed_total").value == 28
-
-
-class TestMergeOrderIndependence:
-    """Worker snapshots arrive in scheduler order; the merged quantiles
-    must not depend on it.
-
-    ``merge_all`` sorts snapshots by a canonical key before merging and
-    the reservoir downsample re-seeds deterministically from (name,
-    merged count), so any arrival permutation of the same snapshots
-    produces the identical pooled reservoir."""
-
-    @staticmethod
-    def _worker_snapshot(worker: int, observations: int):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("repro_chunk_seconds")
-        for i in range(observations):
-            histogram.observe(0.001 * (worker * 1000 + i))
-        registry.counter("repro_pairs_total").inc(observations)
-        return registry.snapshot(include_reservoir=True)
-
-    def _merged(self, snapshots):
-        parent = MetricsRegistry()
-        # A parent-side observation too, so the pool pre-exists.
-        parent.histogram("repro_chunk_seconds").observe(5.0)
-        parent.merge_all(snapshots)
-        return parent
-
-    def test_permuted_merge_orders_agree_exactly(self):
-        import itertools
-        # Three over-capacity snapshots: each worker alone overflows
-        # the 1024-slot default reservoir, forcing the downsample path.
-        snapshots = [self._worker_snapshot(w, 700) for w in range(3)]
-        reference = None
-        for order in itertools.permutations(range(3)):
-            merged = self._merged([snapshots[i] for i in order])
-            histogram = merged.histogram("repro_chunk_seconds")
-            key = (tuple(histogram.reservoir), histogram.count,
-                   histogram.p50, histogram.p95, histogram.p99)
-            if reference is None:
-                reference = key
-            else:
-                assert key == reference, f"order {order} diverged"
-        assert reference[1] == 3 * 700 + 1
-
-    def test_merge_all_skips_empty_snapshots(self):
-        parent = MetricsRegistry()
-        merged = parent.merge_all(
-            [None, self._worker_snapshot(0, 5), None])
-        assert merged == 1
-        assert parent.counter("repro_pairs_total").value == 5
-
-    def test_exemplars_survive_merge(self):
-        worker = MetricsRegistry()
-        worker.histogram("repro_chunk_seconds").observe(
-            9.0, exemplar="slow-span")
-        parent = MetricsRegistry()
-        parent.merge_all([worker.snapshot(include_reservoir=True)])
-        snapshot = parent.snapshot(include_reservoir=True)
-        entry = snapshot["histograms"][0]
-        assert {"value": 9.0, "span_id": "slow-span"} \
-            in entry["exemplars"]
 
 
 class TestNoOpOverhead:

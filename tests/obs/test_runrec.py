@@ -21,10 +21,10 @@ def _record(tmp_path, command="process", **config) -> dict:
 
 class TestRecorderLifecycle:
     def test_record_schema_and_core_fields(self, tmp_path):
-        record = _record(tmp_path, eps=0.12, n_jobs=2)
+        record = _record(tmp_path, eps=0.12, min_pts=5)
         assert record["schema_version"] == RUN_RECORD_SCHEMA_VERSION
         assert record["command"] == "process"
-        assert record["config"] == {"eps": 0.12, "n_jobs": 2}
+        assert record["config"] == {"eps": 0.12, "min_pts": 5}
         assert record["status"] == "ok"
         assert record["error"] is None
         assert record["duration_s"] >= 0.0

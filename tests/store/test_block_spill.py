@@ -24,7 +24,7 @@ def population(extractor):
 
 def _compute(population, stats, store, token="res=0.05"):
     distance = QueryDistance(stats, resolution=0.05)
-    return compute_matrix(population, distance, mode="sparse",
+    return compute_matrix(population, distance, mode="kernel",
                           eps=0.2, store=store, store_token=token)
 
 
@@ -66,11 +66,11 @@ def test_vptree_backend_matches_cold_and_warm(tmp_path, population,
     path = str(tmp_path / "s")
     distance = QueryDistance(stats, resolution=0.05)
     with AreaStore(path) as store:
-        cold = compute_matrix(population, distance, mode="sparse",
+        cold = compute_matrix(population, distance, mode="kernel",
                               eps=0.2, neighbor_backend="vptree",
                               store=store, store_token="res=0.05")
     with AreaStore(path) as store:
-        warm = compute_matrix(population, distance, mode="sparse",
+        warm = compute_matrix(population, distance, mode="kernel",
                               eps=0.2, neighbor_backend="vptree",
                               store=store, store_token="res=0.05")
     for i in range(len(population)):
