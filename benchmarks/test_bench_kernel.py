@@ -26,6 +26,16 @@ at the middle size, vptree storage a small fraction of the kernel's
 at every size, prune rate > 0, and DBSCAN label parity across all
 three at the smallest size.
 
+A growth curve rides along: one partition's pack grows by
+:meth:`~repro.distance.kernel.PackedPartition.extend` one unique area
+at a time to ``GROW_AREAS`` areas, each bringing a new predicate.
+``growth.extend_cost_ratio`` is the mean extend time over the last
+fifth of the arrivals against the first fifth (≈ 1 when an insert costs
+O(new × P) array work; a predicate-table rebuild makes it grow with the
+pack), and ``growth.oracle_calls`` counts the oracle's per-predicate
+packing calls (coverage fraction plus widened footprint): exactly two
+per new predicate, whatever the pack's size.
+
 Set ``REPRO_BENCH_SMOKE=1`` (CI) to shrink the sizes ~20×.
 """
 
@@ -45,6 +55,7 @@ from repro.clustering import partitioned_dbscan
 from repro.core.area import AccessArea
 from repro.distance import QueryDistance
 from repro.distance.block_sparse import BlockSparseDistanceMatrix
+from repro.distance.kernel import PackedPartition
 from repro.distance.matrix import table_partitions
 from repro.distance.metric_index import VPTreeIndex
 from repro.schema import (Column, ColumnType, Relation, Schema,
@@ -58,6 +69,8 @@ PYTHON_CAP = SIZES[0]
 KERNEL_CAP = SIZES[1]
 EPS = 0.12
 MIN_PTS = 4
+#: areas the growth curve appends to one partition's pack, one by one
+GROW_AREAS = 1500
 N_QUERY_SAMPLE = 200
 
 TABLES = ("photoobj", "photoz", "specobj", "galaxy", "star")
@@ -107,6 +120,59 @@ def make_population(n, seed=29):
             Clause.of([ColumnConstantPredicate(ref, Op.LE, lo + width)]),
         ])))
     return items
+
+
+def make_growth_stream(n, seed=31):
+    """Unique-heavy arrivals in one partition: an unquantized lower
+    window endpoint, so every area brings a new predicate (the
+    quantized upper endpoints soon repeat)."""
+    rng = random.Random(seed)
+    ref = ColumnRef("photoobj", "x")
+    items = []
+    for _ in range(n):
+        lo = rng.uniform(0.0, 90.0)
+        hi = float(round(lo + rng.choice(WIDTHS)))
+        items.append(AccessArea(("photoobj",), CNF.of([
+            Clause.of([ColumnConstantPredicate(ref, Op.GE, lo)]),
+            Clause.of([ColumnConstantPredicate(ref, Op.LE, hi)]),
+        ])))
+    return items
+
+
+def _growth_row(catalog):
+    """Per-insert cost of growing one pack area by area."""
+    items = make_growth_stream(GROW_AREAS)
+    pack = PackedPartition(items[:1], QueryDistance(catalog))
+    first_predicates = pack.n_predicates
+    calls = [0]
+    oracle = pack._oracle
+    for name in ("_coverage_fraction", "_widened"):
+        method = getattr(oracle, name)
+
+        def counted(*args, _method=method):
+            calls[0] += 1
+            return _method(*args)
+        setattr(oracle, name, counted)
+    seconds = []
+    for item in items[1:]:
+        started = time.perf_counter()
+        pack.extend([item])
+        seconds.append(time.perf_counter() - started)
+    inserts = len(seconds)
+    fifth = inserts // 5
+    early = sum(seconds[:fifth]) / fifth
+    late = sum(seconds[-fifth:]) / fifth
+    new_predicates = pack.n_predicates - first_predicates
+    return {
+        "areas": pack.n_areas,
+        "predicates": pack.n_predicates,
+        "new_predicates": new_predicates,
+        "oracle_calls": calls[0],
+        "oracle_calls_per_insert": round(calls[0] / inserts, 4),
+        "extend_early_ms": round(early * 1e3, 4),
+        "extend_late_ms": round(late * 1e3, 4),
+        "extend_cost_ratio": round(late / early, 3),
+    }
 
 
 def _intra_pairs(items):
@@ -208,6 +274,7 @@ def test_kernel_artifact(out_dir):
         del index
         rows.append(row)
 
+    growth = _growth_row(catalog)
     artifact = {
         "eps": EPS,
         "smoke": SMOKE,
@@ -216,6 +283,7 @@ def test_kernel_artifact(out_dir):
         "table_set_mix": sorted(
             ("+".join(sorted(ts)), w) for ts, w in TABLE_SET_MIX),
         "sizes": rows,
+        "growth": growth,
     }
     (out_dir / "BENCH_kernel.json").write_text(
         json.dumps(artifact, indent=2) + "\n", encoding="utf-8")
@@ -234,3 +302,5 @@ def test_kernel_artifact(out_dir):
         assert middle["storage_ratio_vptree_vs_kernel"] < 0.5, middle
     # The largest size runs without materializing any block.
     assert "kernel_seconds" not in rows[-1]
+    # Growing a pack packs only the new predicates.
+    assert growth["oracle_calls"] == 2 * growth["new_predicates"], growth

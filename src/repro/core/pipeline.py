@@ -166,15 +166,16 @@ class AccessAreaInterner:
         serve`` lifecycle) can re-record on every scrape without
         double-counting.  Gauges are plain sets and were never at risk.
         """
-        registry.gauge("repro_intern_pool_size").set(len(self))
+        size = len(self)
+        registry.gauge("repro_intern_pool_size").set(size)
         registry.gauge("repro_intern_pool_resident").set(self.resident)
         metrics.record_counter_deltas(registry, self._recorded, (
             ("repro_intern_hits_total", self.hits),
-            ("repro_intern_misses_total", len(self)),
+            ("repro_intern_misses_total", size),
             ("repro_intern_evictions_total", self.evictions)))
-        if len(self):
+        if size:
             registry.gauge("repro_intern_dedup_ratio").set(
-                self.stats().dedup_ratio)
+                InternStats(pool_size=size, hits=self.hits).dedup_ratio)
         if self.store is not None:
             self.store.record(registry)
 

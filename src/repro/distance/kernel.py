@@ -12,8 +12,8 @@ blocks as array operations:
   (the same equivalence the oracle's pair LRU uses) and their pairwise
   ``d_pred`` matrix is built per category: numeric interval footprints
   as float64 endpoint slots, categorical footprints as uint64 bitset
-  rows over the ordered vocabulary, coverage products for cross-column
-  pairs, structural keys for column-column predicates;
+  rows, coverage products for cross-column pairs, structural keys for
+  column-column predicates and degenerate access widths;
 * **clause layer** — distinct clauses map to rows of a ``d_disj``
   matrix: unit×unit pairs are a gather of the predicate matrix, the
   rare non-unit pairs run the symmetric best-match average over
@@ -37,6 +37,21 @@ elements), and identical guard expressions (``max(0.0, 1 − i/u)``,
 conformance battery in ``tests/distance/test_kernel_conformance.py``
 asserts this equality within 1e-12 (and exactly, in practice) across
 hypothesis-generated predicate populations.
+
+The predicate layer grows like the clause and area layers.  Each
+predicate's packed quantities are computed once, when it first enters
+the pack, and kept in per-column groups (:class:`_Group`): its coverage
+fraction; its widened footprint as ``_MAX_SLOTS`` endpoint slots, total
+width, empty flag and structure id; its equality-key id when the
+column's access is unbounded or zero-width; its categorical bitset over
+first-seen value positions (popcounts do not depend on positions); its
+join key id.  ``d_pred`` lives in a capacity-doubled buffer, and
+:meth:`PackedPartition.extend` fills only the new rows (new × all) and
+the new columns (old × new): O(new × P) array work, and oracle calls
+(a coverage fraction, a widened footprint) for *new* predicates only.  Rows and columns are computed separately, because
+an interval entry ``(a, b)`` sums ``a``'s slots in the outer loop.
+Every :class:`KernelUnsupported` check runs in a planning step before
+anything is mutated, and the first fill is an ``extend`` from empty.
 
 Anything the pack cannot replay exactly — non-finite or non-float-exact
 numeric constants, boolean constants (whose ``True == 1`` predicate
@@ -186,7 +201,6 @@ class PackedPartition:
 
     def __init__(self, areas: Sequence, metric) -> None:
         self._oracle = oracle_of(metric)
-        self._stats_catalog = metric.stats
 
         # Dedup state is retained so :meth:`extend` can append areas
         # with stable predicate/clause/area ids: clauses and predicates
@@ -196,16 +210,19 @@ class PackedPartition:
         # memo entry.  Per-position id lists keep duplicates: direction
         # sums count positions, not values.
         self._clause_ids: dict[Clause, int] = {}
-        self._clauses: list[Clause] = []
         self._pred_ids: dict = {}
         self._preds: list = []
         self._clause_pred_ids: list[list[int]] = []
-        self._area_clause_ids: list[list[int]] = []
+        # Per-clause shape, for the clause-layer rows: predicate count,
+        # the predicate id of unit clauses (-1 otherwise), and the ids
+        # of the multi-predicate clauses in ascending order.
+        self._clause_len = np.empty(0, dtype=np.intp)
+        self._unit_pid = np.empty(0, dtype=np.intp)
+        self._multi: list[int] = []
 
         self.n_areas = 0
-        self.n_predicates = 0
         self.n_clauses = 0
-        self._dp = np.zeros((0, 0), dtype=float)
+        self._pred_table = _PredicateTable(self._oracle, metric.stats)
         self._finish_area_layer([], np.zeros((0, 0), dtype=float))
         self.extend(areas)
 
@@ -217,10 +234,11 @@ class PackedPartition:
         over the concatenated area list: appending preserves the
         first-seen enumeration order of the dedup pass, predicate and
         clause entries are independent per pair, and the best-match
-        table's exact ``min`` is order-insensitive.  Raises
-        :class:`KernelUnsupported` — *before* mutating any state — when
-        a new area's predicates cannot be replayed exactly; callers can
-        keep using the unmodified pack after catching it.
+        table's exact ``min`` is order-insensitive.  The first fill is
+        an ``extend`` from empty.  Raises :class:`KernelUnsupported` —
+        *before* mutating any state — when a new area's predicates
+        cannot be replayed exactly; callers can keep using the
+        unmodified pack after catching it.
 
         Requires the statistics catalog used at construction to be
         unchanged since: widened access intervals would silently
@@ -230,72 +248,65 @@ class PackedPartition:
         areas = list(areas)
         if not areas:
             return
-        # -- tentative dedup (no mutation until every check passes) ----
-        clause_ids = dict(self._clause_ids)
-        clauses = list(self._clauses)
+        # -- tentative dedup: new ids wait in overlays until commit ----
+        c_old = self.n_clauses
+        new_clause_ids: dict[Clause, int] = {}
         area_clause_ids = []
         for area in areas:
             ids = []
             for clause in area.cnf.clauses:
-                cid = clause_ids.get(clause)
+                cid = self._clause_ids.get(clause)
                 if cid is None:
-                    cid = len(clauses)
-                    clause_ids[clause] = cid
-                    clauses.append(clause)
+                    cid = new_clause_ids.setdefault(
+                        clause, c_old + len(new_clause_ids))
                 ids.append(cid)
             area_clause_ids.append(ids)
-        c_old = self.n_clauses
-        new_clauses = clauses[c_old:]
 
-        pred_ids = dict(self._pred_ids)
-        preds = list(self._preds)
-        clause_pred_ids = list(self._clause_pred_ids)
-        for clause in new_clauses:
+        p_old = self.n_predicates
+        new_pred_ids: dict = {}
+        new_clause_pred_ids = []
+        for clause in new_clause_ids:
             ids = []
             for pred in clause.predicates:
-                pid = pred_ids.get(pred)
+                pid = self._pred_ids.get(pred)
                 if pid is None:
-                    pid = len(preds)
-                    pred_ids[pred] = pid
-                    preds.append(pred)
+                    pid = new_pred_ids.setdefault(
+                        pred, p_old + len(new_pred_ids))
                 ids.append(pid)
-            clause_pred_ids.append(ids)
-        p_old = self.n_predicates
-        _check_supported(preds[p_old:])
-
-        # -- rebuild/extend the vectorized tables ----------------------
-        # The predicate block raises KernelUnsupported for constants it
-        # cannot replay bitwise, so it runs before any commit; nothing
-        # below this point can fail.
-        dp = self._dp
-        if len(preds) > p_old:
-            # Full vectorized rebuild: entries between old predicates
-            # are elementwise formulas over unchanged inputs, so they
-            # stay bitwise-identical and every old clause entry built
-            # from them remains valid.
-            dp = _predicate_block(preds, self._oracle,
-                                  self._stats_catalog)
+            new_clause_pred_ids.append(ids)
+        new_preds = list(new_pred_ids)
+        _check_supported(new_preds)
+        # Packing the new predicates raises KernelUnsupported for
+        # constants it cannot replay bitwise, so it runs before any
+        # commit; nothing below this point can fail.
+        planned = self._pred_table.plan(new_preds)
 
         # -- commit ----------------------------------------------------
-        self._clause_ids = clause_ids
-        self._clauses = clauses
-        self._pred_ids = pred_ids
-        self._preds = preds
-        self._clause_pred_ids = clause_pred_ids
-        self.n_predicates = len(preds)
-        self._dp = dp
-        self._area_clause_ids.extend(area_clause_ids)
+        self._clause_ids.update(new_clause_ids)
+        self._pred_ids.update(new_pred_ids)
+        self._preds.extend(new_preds)
+        # Entries between old predicates are untouched: only the new
+        # rows and columns are computed, and every old clause entry
+        # built from the old rows remains valid.
+        self._pred_table.commit(planned)
+        c = c_old + len(new_clause_pred_ids)
+        self._clause_len = _grow(self._clause_len, c)
+        self._unit_pid = _grow(self._unit_pid, c)
+        for cid, ids in enumerate(new_clause_pred_ids, start=c_old):
+            self._clause_pred_ids.append(ids)
+            self._clause_len[cid] = len(ids)
+            self._unit_pid[cid] = ids[0] if len(ids) == 1 else -1
+            if len(ids) >= 2:
+                self._multi.append(cid)
         if self.n_areas == 0:
-            # First fill: build every layer from scratch.
-            self.n_clauses = len(clauses)
-            self.n_areas = len(self._area_clause_ids)
-            self._finish_area_layer(
-                self._area_clause_ids,
-                _clause_block(clauses, clause_pred_ids, dp))
+            # First fill: the best-match table in one vectorized pass.
+            self.n_clauses = c
+            self.n_areas = len(area_clause_ids)
+            self._finish_area_layer(area_clause_ids,
+                                    self._clause_rows(0))
         else:
-            if new_clauses:
-                self._append_clause_rows(
-                    _clause_rows(clauses, clause_pred_ids, dp, c_old))
+            if c > c_old:
+                self._append_clause_rows(self._clause_rows(c_old))
             self._append_area_columns(area_clause_ids)
 
     # -- growable views -----------------------------------------------------
@@ -307,6 +318,14 @@ class PackedPartition:
     # ever *gather* from these (fancy indexing copies into fresh
     # C-contiguous arrays), so the strided views preserve the bitwise
     # summation-order guarantees documented on each method.
+
+    @property
+    def n_predicates(self) -> int:
+        return self._pred_table.n
+
+    @property
+    def _dp(self) -> "np.ndarray":
+        return self._pred_table.dp
 
     @property
     def _dc(self) -> "np.ndarray":
@@ -327,6 +346,65 @@ class PackedPartition:
     @property
     def _best(self) -> "np.ndarray":
         return self._best_buf[:self.n_clauses, :self.n_areas]
+
+    # -- clause layer -------------------------------------------------------
+
+    def _clause_rows(self, c_old: int) -> "np.ndarray":
+        """``d_disj`` rows of the clauses at ids ``c_old..`` against
+        *every* clause (old and new).
+
+        Unit×unit pairs are a gather of the predicate table, the rare
+        non-unit pairs run the symmetric best-match average over its
+        slices.  Each pair runs the same formula whichever side is new,
+        so stacking these rows under (and their transpose beside) an
+        existing block reproduces the from-scratch matrix bitwise;
+        ``c_old = 0`` is the from-scratch matrix.
+        """
+        dp = self._dp
+        clause_pred_ids = self._clause_pred_ids
+        c = len(clause_pred_ids)
+        rows = np.ones((c - c_old, c), dtype=float)
+        lengths = self._clause_len[:c]
+
+        unit = np.flatnonzero(lengths == 1)
+        new_unit = unit[unit >= c_old]
+        if len(new_unit):
+            rows[np.ix_(new_unit - c_old, unit)] = \
+                dp[np.ix_(self._unit_pid[new_unit], self._unit_pid[unit])]
+        empty = np.flatnonzero(lengths == 0)
+        new_empty = empty[empty >= c_old]
+        if len(new_empty):
+            rows[np.ix_(new_empty - c_old, empty)] = 0.0
+
+        for ci in self._multi:
+            ids1 = np.asarray(clause_pred_ids[ci], dtype=np.intp)
+            n1 = len(ids1)
+            # Old-old pairs are retained from the existing block; an old
+            # multi clause only pairs against the new id range.
+            for cj in range(c_old if ci < c_old else 0, c):
+                n2 = int(lengths[cj])
+                if n2 == 0 or cj == ci:
+                    continue
+                if n2 >= 2 and cj < ci:
+                    continue  # symmetric, already filled
+                sub = dp[np.ix_(ids1, np.asarray(clause_pred_ids[cj],
+                                                 dtype=np.intp))]
+                # Python-loop totals: 1-D ndarray.sum is not
+                # left-to-right beyond 8 elements, the oracle's ``+=``
+                # loop is.
+                forward = 0.0
+                for value in sub.min(axis=1).tolist():
+                    forward += value
+                backward = 0.0
+                for value in sub.min(axis=0).tolist():
+                    backward += value
+                value = (forward + backward) / (n1 + n2)
+                if ci >= c_old:
+                    rows[ci - c_old, cj] = value
+                if cj >= c_old:
+                    rows[cj - c_old, ci] = value
+        rows[np.arange(c - c_old), np.arange(c_old, c)] = 0.0
+        return rows
 
     # -- area layer ---------------------------------------------------------
 
@@ -365,7 +443,7 @@ class PackedPartition:
         self._row_cache: Optional[tuple[int, np.ndarray]] = None
 
     def _append_clause_rows(self, rows: "np.ndarray") -> None:
-        """Commit ``_clause_rows`` output: grow the clause dimension of
+        """Commit :meth:`_clause_rows` output: grow the clause dimension of
         the ``d_disj`` and best-match tables and remap the pad
         sentinel."""
         c_old = self.n_clauses
@@ -570,265 +648,321 @@ def _check_supported(preds: Sequence) -> None:
 # -- predicate layer ---------------------------------------------------------
 
 
-def _predicate_block(preds: Sequence, oracle: PredicateDistance,
-                     stats) -> "np.ndarray":
-    """Pairwise ``d_pred`` over the deduplicated predicates.
-
-    The default 1.0 covers every structurally-unrelated pair (mixed
-    type on one column, categorical across columns, column-column vs
-    column-constant); the category fills below overwrite exactly the
-    pairs the oracle treats specially.
-    """
-    p = len(preds)
-    dp = np.ones((p, p), dtype=float)
-
-    numeric = [(pid, pred) for pid, pred in enumerate(preds)
-               if isinstance(pred, ColumnConstantPredicate)
-               and pred.is_numeric]
-    if numeric:
-        # Cross-column numeric pairs: 1 − cov·cov everywhere; the
-        # same-column groups are overwritten right after.
-        idx = np.array([pid for pid, _ in numeric], dtype=np.intp)
-        cov = np.array([oracle._coverage_fraction(pred)
-                        for _, pred in numeric])
-        dp[np.ix_(idx, idx)] = 1.0 - cov[:, None] * cov[None, :]
-        by_ref: dict = {}
-        for pid, pred in numeric:
-            by_ref.setdefault(pred.ref, []).append((pid, pred))
-        for ref, members in by_ref.items():
-            gidx = np.array([pid for pid, _ in members], dtype=np.intp)
-            group = [pred for _, pred in members]
-            access = stats.access_interval(ref)
-            width = access.width
-            if not math.isfinite(width):
-                block = _equality_block(
-                    [(pred.op, normalize_constant(pred.value))
-                     for pred in group])
-            elif width <= 0:
-                block = _equality_block(
-                    [normalize_constant(pred.value) for pred in group])
-            else:
-                block = _numeric_block(group, oracle, access)
-            dp[np.ix_(gidx, gidx)] = block
-
-    by_ref = {}
-    for pid, pred in enumerate(preds):
-        if isinstance(pred, ColumnConstantPredicate) \
-                and isinstance(pred.value, str):
-            by_ref.setdefault(pred.ref, []).append((pid, pred))
-    for ref, members in by_ref.items():
-        gidx = np.array([pid for pid, _ in members], dtype=np.intp)
-        vocabulary = stats.access_values(ref)
-        footprints = [_categorical_footprint(pred, vocabulary)
-                      for _, pred in members]
-        dp[np.ix_(gidx, gidx)] = _categorical_block(footprints)
-
-    joins = [(pid, pred) for pid, pred in enumerate(preds)
-             if isinstance(pred, ColumnColumnPredicate)]
-    if joins:
-        idx = np.array([pid for pid, _ in joins], dtype=np.intp)
-        # Operand order is canonical, so the ordered qualified-name pair
-        # is exactly the unordered column-pair key the oracle compares.
-        keys = [(pred.left.qualified, pred.right.qualified)
-                for _, pred in joins]
-        key_ids = _intern(keys)
-        same = key_ids[:, None] == key_ids[None, :]
-        dp[np.ix_(idx, idx)] = np.where(same, 0.5, 1.0)
-
-    np.fill_diagonal(dp, 0.0)
-    return dp
-
-
-def _intern(keys: Sequence) -> "np.ndarray":
-    table: dict = {}
-    out = np.empty(len(keys), dtype=np.intp)
-    for position, key in enumerate(keys):
-        out[position] = table.setdefault(key, len(table))
+def _grow(buf: "np.ndarray", rows: int, fill=0) -> "np.ndarray":
+    """``buf`` with room for ``rows`` leading rows: ``buf`` itself while
+    it fits, else a copy at (at least) double the capacity, so appends
+    cost amortised O(1) copies per row."""
+    if rows <= buf.shape[0]:
+        return buf
+    out = np.full((max(2 * buf.shape[0], rows, 4),) + buf.shape[1:],
+                  fill, dtype=buf.dtype)
+    out[:buf.shape[0]] = buf
     return out
 
 
-def _equality_block(keys: Sequence) -> "np.ndarray":
-    """0.0 on equal keys, 1.0 elsewhere (degenerate-access semantics)."""
-    ids = _intern(keys)
-    return np.where(ids[:, None] == ids[None, :], 0.0, 1.0)
+class _Group:
+    """Predicates under one same-group ``d_pred`` rule — one numeric
+    column, one categorical column, or every join — with each member's
+    packed quantities stored once, in first-seen order.
+
+    :meth:`plan` derives a new member's quantities (and is the only
+    step that may raise :class:`KernelUnsupported`); :meth:`append`
+    stores them; :meth:`block` evaluates ``d_pred`` for member rows
+    against member columns as array operations.
+    """
+
+    #: ``block(a, b)`` is the transpose of ``block(b, a)`` bit for bit
+    symmetric = True
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.pids = np.empty(0, dtype=np.intp)
+
+    def append(self, pid: int, packed) -> None:
+        self.pids = _grow(self.pids, self.n + 1)
+        self.pids[self.n] = pid
+        self._store(self.n, packed)
+        self.n += 1
+
+    def plan(self, pred, oracle: PredicateDistance):
+        raise NotImplementedError
+
+    def _store(self, row: int, packed) -> None:
+        raise NotImplementedError
+
+    def block(self, rows: slice, cols: slice) -> "np.ndarray":
+        raise NotImplementedError
 
 
-def _numeric_block(group: Sequence, oracle: PredicateDistance,
-                   access) -> "np.ndarray":
+class _KeyGroup(_Group):
+    """``near`` on equal structural keys, 1.0 elsewhere: joins over one
+    column pair (0.5), and numeric columns whose access width is
+    unbounded or zero (0.0, the oracle's degenerate-access rule)."""
+
+    def __init__(self, key, near: float) -> None:
+        super().__init__()
+        self._key = key
+        self._near = near
+        self._ids: dict = {}
+        self._key_ids = np.empty(0, dtype=np.intp)
+
+    def plan(self, pred, oracle: PredicateDistance):
+        return self._key(pred)
+
+    def _store(self, row: int, packed) -> None:
+        self._key_ids = _grow(self._key_ids, row + 1)
+        self._key_ids[row] = self._ids.setdefault(packed, len(self._ids))
+
+    def block(self, rows: slice, cols: slice) -> "np.ndarray":
+        ids = self._key_ids
+        return np.where(ids[rows, None] == ids[None, cols],
+                        self._near, 1.0)
+
+
+class _IntervalGroup(_Group):
     """Same-column numeric ``d_pred``: Jaccard of widened footprints.
 
     Footprints, their total widths and their structural identities come
     from the oracle itself; only the pairwise intersection widths are
     vectorized — slot by slot in the oracle's sorted accumulation order,
     with empty slots as reversed-infinity sentinels whose clipped
-    contribution is exactly 0.0.
+    contribution is exactly 0.0.  Entry ``(a, b)`` sums ``a``'s slots in
+    the outer loop, so ``block(a, b)`` is not taken to be the transpose
+    of ``block(b, a)``.
     """
-    g = len(group)
-    footprints = [oracle._widened(pred, access) for pred in group]
-    slots = max((len(fp) for fp in footprints), default=0)
-    if slots > _MAX_SLOTS:
-        raise KernelUnsupported(
-            f"footprint with {slots} intervals exceeds the packed "
-            f"slot budget")
-    slots = max(slots, 1)
-    lo = np.full((g, slots), np.inf)
-    hi = np.full((g, slots), -np.inf)
-    widths = np.empty(g)
-    empty = np.zeros(g, dtype=bool)
-    structure = _intern(footprints)
-    for row, fp in enumerate(footprints):
-        for slot, interval in enumerate(fp):
-            lo[row, slot] = _exact(interval.lo)
-            hi[row, slot] = _exact(interval.hi)
-        widths[row] = _exact(fp.total_width)
-        empty[row] = fp.is_empty
-    if g and not math.isfinite(2.0 * float(widths.max())):
-        # w1 + w2 could overflow to inf and drag the union through
-        # inf − inf = NaN, where numpy's maximum() and Python's max()
-        # disagree; leave such pathologies to the oracle.
-        raise KernelUnsupported("footprint widths overflow float64")
 
-    inter = np.zeros((g, g))
-    for s in range(slots):
-        for t in range(slots):
-            segment = (np.minimum(hi[:, s, None], hi[None, :, t])
-                       - np.maximum(lo[:, s, None], lo[None, :, t]))
-            inter = inter + np.maximum(segment, 0.0)
-    union = (widths[:, None] + widths[None, :]) - inter
-    with np.errstate(divide="ignore", invalid="ignore"):
-        block = np.maximum(0.0, 1.0 - inter / union)
-    degenerate = union <= 0.0
-    if degenerate.any():
-        same = (structure[:, None] == structure[None, :]) \
-            & ~empty[:, None]
-        block = np.where(degenerate, np.where(same, 0.0, 1.0), block)
-    return block
+    symmetric = False
 
+    def __init__(self, access) -> None:
+        super().__init__()
+        self._access = access
+        #: widest footprint so far; narrower rows only add sentinel 0.0s
+        self._slots = 1
+        self._lo = np.empty((0, _MAX_SLOTS))
+        self._hi = np.empty((0, _MAX_SLOTS))
+        self._widths = np.empty(0)
+        self._empty = np.empty(0, dtype=bool)
+        self._structure = np.empty(0, dtype=np.intp)
+        self._structure_ids: dict = {}
 
-def _categorical_block(footprints: Sequence) -> "np.ndarray":
-    """Same-column categorical ``d_pred`` over bitset footprint rows."""
-    g = len(footprints)
-    universe: list[str] = sorted(set().union(*footprints)) \
-        if footprints else []
-    position = {value: k for k, value in enumerate(universe)}
-    n_words = max((len(universe) + 63) // 64, 1)
-    bits = np.zeros((g, n_words), dtype=np.uint64)
-    for row, fp in enumerate(footprints):
-        for value in fp:
-            k = position[value]
-            bits[row, k >> 6] |= np.uint64(1 << (k & 63))
-    inter = np.bitwise_count(bits[:, None, :] & bits[None, :, :]) \
-        .sum(axis=2, dtype=np.int64)
-    union = np.bitwise_count(bits[:, None, :] | bits[None, :, :]) \
-        .sum(axis=2, dtype=np.int64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        block = 1.0 - inter / union
-    return np.where(union == 0, 0.0, block)
+    def plan(self, pred, oracle: PredicateDistance):
+        footprint = oracle._widened(pred, self._access)
+        if len(footprint) > _MAX_SLOTS:
+            raise KernelUnsupported(
+                f"footprint with {len(footprint)} intervals exceeds the "
+                f"packed slot budget")
+        lo = [_exact(interval.lo) for interval in footprint]
+        hi = [_exact(interval.hi) for interval in footprint]
+        width = _exact(footprint.total_width)
+        if not math.isfinite(2.0 * width):
+            # w1 + w2 could overflow to inf and drag the union through
+            # inf − inf = NaN, where numpy's maximum() and Python's max()
+            # disagree; leave such pathologies to the oracle.
+            raise KernelUnsupported("footprint widths overflow float64")
+        return footprint, lo, hi, width
 
+    def _store(self, row: int, packed) -> None:
+        footprint, lo, hi, width = packed
+        self._lo = _grow(self._lo, row + 1, np.inf)
+        self._hi = _grow(self._hi, row + 1, -np.inf)
+        self._widths = _grow(self._widths, row + 1)
+        self._empty = _grow(self._empty, row + 1)
+        self._structure = _grow(self._structure, row + 1)
+        self._lo[row, :len(lo)] = lo
+        self._hi[row, :len(hi)] = hi
+        self._widths[row] = width
+        self._empty[row] = footprint.is_empty
+        self._structure[row] = self._structure_ids.setdefault(
+            footprint, len(self._structure_ids))
+        self._slots = max(self._slots, len(lo))
 
-# -- clause layer ------------------------------------------------------------
-
-
-def _clause_block(clauses: Sequence, clause_pred_ids: Sequence,
-                  dp: "np.ndarray") -> "np.ndarray":
-    """Pairwise ``d_disj`` over the deduplicated clauses."""
-    c = len(clauses)
-    dc = np.ones((c, c), dtype=float)
-    lengths = np.array([len(ids) for ids in clause_pred_ids],
-                       dtype=np.intp)
-
-    unit = np.flatnonzero(lengths == 1)
-    if len(unit):
-        unit_pids = np.array([clause_pred_ids[k][0] for k in unit],
-                             dtype=np.intp)
-        dc[np.ix_(unit, unit)] = dp[np.ix_(unit_pids, unit_pids)]
-    empty = np.flatnonzero(lengths == 0)
-    if len(empty):
-        dc[np.ix_(empty, empty)] = 0.0
-
-    multi = [int(k) for k in np.flatnonzero(lengths >= 2)]
-    multi_set = set(multi)
-    for ci in multi:
-        ids1 = np.asarray(clause_pred_ids[ci], dtype=np.intp)
-        n1 = len(ids1)
-        for cj in range(c):
-            n2 = int(lengths[cj])
-            if n2 == 0 or cj == ci:
-                continue
-            if cj in multi_set and cj < ci:
-                continue  # symmetric, already filled
-            sub = dp[np.ix_(ids1, np.asarray(clause_pred_ids[cj],
-                                             dtype=np.intp))]
-            # Python-loop totals: 1-D ndarray.sum is not left-to-right
-            # beyond 8 elements, the oracle's ``+=`` loop is.
-            forward = 0.0
-            for value in sub.min(axis=1).tolist():
-                forward += value
-            backward = 0.0
-            for value in sub.min(axis=0).tolist():
-                backward += value
-            dc[ci, cj] = dc[cj, ci] = (forward + backward) / (n1 + n2)
-    np.fill_diagonal(dc, 0.0)
-    return dc
+    def block(self, rows: slice, cols: slice) -> "np.ndarray":
+        lo_a, hi_a = self._lo[rows], self._hi[rows]
+        lo_b, hi_b = self._lo[cols], self._hi[cols]
+        inter = np.zeros((len(lo_a), len(lo_b)))
+        for s in range(self._slots):
+            for t in range(self._slots):
+                segment = (np.minimum(hi_a[:, s, None], hi_b[None, :, t])
+                           - np.maximum(lo_a[:, s, None], lo_b[None, :, t]))
+                inter = inter + np.maximum(segment, 0.0)
+        union = (self._widths[rows, None] + self._widths[None, cols]) \
+            - inter
+        with np.errstate(divide="ignore", invalid="ignore"):
+            block = np.maximum(0.0, 1.0 - inter / union)
+        degenerate = union <= 0.0
+        if degenerate.any():
+            structure = self._structure
+            same = (structure[rows, None] == structure[None, cols]) \
+                & ~self._empty[rows, None]
+            block = np.where(degenerate, np.where(same, 0.0, 1.0), block)
+        return block
 
 
-def _clause_rows(clauses: Sequence, clause_pred_ids: Sequence,
-                 dp: "np.ndarray", c_old: int) -> "np.ndarray":
-    """``d_disj`` rows of the clauses at ids ``c_old..len(clauses)``
-    against *every* clause (old and new).
+class _BitsGroup(_Group):
+    """Same-column categorical ``d_pred`` over bitset footprint rows.
 
-    Each pair runs the exact :func:`_clause_block` formula for its
-    category, so stacking these rows under (and their transpose beside)
-    an existing block reproduces the from-scratch matrix bitwise.
+    Values get bit positions in first-seen order, append-only; the
+    intersection and union popcounts do not depend on positions, so the
+    Jaccard entries equal a sorted-universe layout's bit for bit.
     """
-    c = len(clauses)
-    rows = np.ones((c - c_old, c), dtype=float)
-    lengths = np.array([len(ids) for ids in clause_pred_ids],
-                       dtype=np.intp)
 
-    unit = np.flatnonzero(lengths == 1)
-    new_unit = unit[unit >= c_old]
-    if len(new_unit):
-        pids_all = np.array([clause_pred_ids[int(k)][0] for k in unit],
-                            dtype=np.intp)
-        pids_new = np.array(
-            [clause_pred_ids[int(k)][0] for k in new_unit],
-            dtype=np.intp)
-        rows[np.ix_(new_unit - c_old, unit)] = \
-            dp[np.ix_(pids_new, pids_all)]
-    empty = np.flatnonzero(lengths == 0)
-    new_empty = empty[empty >= c_old]
-    if len(new_empty):
-        rows[np.ix_(new_empty - c_old, empty)] = 0.0
+    def __init__(self, vocabulary: frozenset) -> None:
+        super().__init__()
+        self._vocabulary = vocabulary
+        self._positions: dict[str, int] = {}
+        self._bits = np.zeros((0, 1), dtype=np.uint64)
 
-    multi_set = {int(k) for k in np.flatnonzero(lengths >= 2)}
-    for ci in sorted(multi_set):
-        ids1 = np.asarray(clause_pred_ids[ci], dtype=np.intp)
-        n1 = len(ids1)
-        # Old-old pairs are retained from the existing block; an old
-        # multi clause only pairs against the new id range.
-        for cj in range(c_old if ci < c_old else 0, c):
-            n2 = int(lengths[cj])
-            if n2 == 0 or cj == ci:
-                continue
-            if cj in multi_set and cj < ci:
-                continue  # symmetric, already filled
-            sub = dp[np.ix_(ids1, np.asarray(clause_pred_ids[cj],
-                                             dtype=np.intp))]
-            forward = 0.0
-            for value in sub.min(axis=1).tolist():
-                forward += value
-            backward = 0.0
-            for value in sub.min(axis=0).tolist():
-                backward += value
-            value = (forward + backward) / (n1 + n2)
-            if ci >= c_old:
-                rows[ci - c_old, cj] = value
-            if cj >= c_old:
-                rows[cj - c_old, ci] = value
-    for k in range(c_old, c):
-        rows[k - c_old, k] = 0.0
-    return rows
+    def plan(self, pred, oracle: PredicateDistance):
+        return _categorical_footprint(pred, self._vocabulary)
+
+    def _store(self, row: int, packed) -> None:
+        self._bits = _grow(self._bits, row + 1)
+        positions = self._positions
+        for value in packed:
+            k = positions.setdefault(value, len(positions))
+            if k >> 6 >= self._bits.shape[1]:
+                wider = np.zeros((self._bits.shape[0],
+                                  2 * self._bits.shape[1]), dtype=np.uint64)
+                wider[:, :self._bits.shape[1]] = self._bits
+                self._bits = wider
+            self._bits[row, k >> 6] |= np.uint64(1 << (k & 63))
+
+    def block(self, rows: slice, cols: slice) -> "np.ndarray":
+        words = max((len(self._positions) + 63) // 64, 1)
+        a = self._bits[rows, None, :words]
+        b = self._bits[None, cols, :words]
+        inter = np.bitwise_count(a & b).sum(axis=2, dtype=np.int64)
+        union = np.bitwise_count(a | b).sum(axis=2, dtype=np.int64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            block = 1.0 - inter / union
+        return np.where(union == 0, 0.0, block)
+
+
+def _join_key(pred: ColumnColumnPredicate) -> tuple:
+    # Operand order is canonical, so the ordered qualified-name pair is
+    # exactly the unordered column-pair key the oracle compares.
+    return (pred.left.qualified, pred.right.qualified)
+
+
+def _op_value_key(pred: ColumnConstantPredicate) -> tuple:
+    return (pred.op, normalize_constant(pred.value))
+
+
+def _value_key(pred: ColumnConstantPredicate) -> tuple:
+    return normalize_constant(pred.value)
+
+
+class _PredicateTable:
+    """Growable pairwise ``d_pred`` over a pack's distinct predicates.
+
+    The default 1.0 covers every structurally-unrelated pair (mixed
+    type on one column, categorical across columns, column-column vs
+    column-constant); numeric pairs across columns get ``1 − cov·cov``
+    and each :class:`_Group` overwrites exactly the same-group pairs the
+    oracle treats specially.  Growing by ``k`` predicates computes the
+    ``k`` new rows and the new columns only — O(k·P) array work, with
+    oracle calls for the ``k`` new predicates only — into a
+    capacity-doubled buffer.
+    """
+
+    def __init__(self, oracle: PredicateDistance, stats) -> None:
+        self._oracle = oracle
+        self._stats = stats
+        self._groups: dict = {}
+        self._buf = np.empty((0, 0))
+        self.n = 0
+        # Numeric predicates (every column) and their coverage fractions.
+        self._num_pids = np.empty(0, dtype=np.intp)
+        self._num_cov = np.empty(0)
+        self._n_num = 0
+
+    @property
+    def dp(self) -> "np.ndarray":
+        return self._buf[:self.n, :self.n]
+
+    def _make_group(self, key) -> _Group:
+        kind, ref = key
+        if kind == "join":
+            return _KeyGroup(_join_key, 0.5)
+        if kind == "categorical":
+            return _BitsGroup(self._stats.access_values(ref))
+        access = self._stats.access_interval(ref)
+        width = access.width
+        if not math.isfinite(width):
+            return _KeyGroup(_op_value_key, 0.0)
+        if width <= 0:
+            return _KeyGroup(_value_key, 0.0)
+        return _IntervalGroup(access)
+
+    def plan(self, preds: Sequence) -> tuple[list, dict]:
+        """Packed quantities of each new predicate, as
+        ``([(group, packed, coverage), ...], new_groups)``.
+
+        Every :class:`KernelUnsupported` check runs here, before
+        :meth:`commit` mutates anything.
+        """
+        oracle = self._oracle
+        new_groups: dict = {}
+        plans = []
+        for pred in preds:
+            if isinstance(pred, ColumnColumnPredicate):
+                key = ("join", None)
+            elif pred.is_numeric:
+                key = ("numeric", pred.ref)
+            else:
+                key = ("categorical", pred.ref)
+            group = self._groups.get(key) or new_groups.get(key)
+            if group is None:
+                group = new_groups[key] = self._make_group(key)
+            coverage = oracle._coverage_fraction(pred) \
+                if key[0] == "numeric" else None
+            plans.append((group, group.plan(pred, oracle), coverage))
+        return plans, new_groups
+
+    def commit(self, planned: tuple[list, dict]) -> None:
+        """Append planned predicates: fill the new rows (new × all) and
+        the new columns (old × new).  Nothing here can fail."""
+        plans, new_groups = planned
+        self._groups.update(new_groups)
+        p_old = self.n
+        p = p_old + len(plans)
+        num_first = self._n_num
+        first: dict = {}
+        for offset, (group, packed, coverage) in enumerate(plans):
+            first.setdefault(group, group.n)
+            group.append(p_old + offset, packed)
+            if coverage is not None:
+                self._num_pids = _grow(self._num_pids, self._n_num + 1)
+                self._num_cov = _grow(self._num_cov, self._n_num + 1)
+                self._num_pids[self._n_num] = p_old + offset
+                self._num_cov[self._n_num] = coverage
+                self._n_num += 1
+
+        if p > self._buf.shape[0]:
+            buf = np.empty((max(2 * self._buf.shape[0], p, 4),) * 2)
+            buf[:p_old, :p_old] = self.dp
+            self._buf = buf
+        rows = self._buf[p_old:p, :p]
+        rows[:] = 1.0
+        if self._n_num > num_first:
+            # Cross-column numeric pairs: 1 − cov·cov everywhere; the
+            # same-column groups are overwritten right after.
+            cov = self._num_cov[:self._n_num]
+            pids = self._num_pids[:self._n_num]
+            rows[np.ix_(pids[num_first:] - p_old, pids)] = \
+                1.0 - cov[num_first:, None] * cov[None, :]
+        for group, start in first.items():
+            pids = group.pids[:group.n]
+            rows[np.ix_(pids[start:] - p_old, pids)] = \
+                group.block(slice(start, group.n), slice(0, group.n))
+        rows[np.arange(p - p_old), np.arange(p_old, p)] = 0.0
+        self._buf[:p_old, p_old:p] = rows[:, :p_old].T
+        for group, start in first.items():
+            if start and not group.symmetric:
+                pids = group.pids[:group.n]
+                self._buf[np.ix_(pids[:start], pids[start:])] = \
+                    group.block(slice(0, start), slice(start, group.n))
+        self.n = p
 
 
 # -- partition blocks --------------------------------------------------------

@@ -296,7 +296,8 @@ class AppState:
                 or "statement did not extract")
         else:
             pooled = self.interner.intern(area)
-            digest = fingerprint_digest(pooled)
+            if self.store is not None:
+                digest = fingerprint_digest(pooled)
             label = self.monitor.statement_labels[-1]
             if label is None:
                 outcome = IngestOutcome(status="unclustered",

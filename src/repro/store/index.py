@@ -50,6 +50,8 @@ class FingerprintIndex:
         self._watermark_path = os.path.join(directory, WATERMARK_NAME)
         self._generation = 0
         self._snapshot_count = 0
+        #: unique digests across snapshot and delta (see :meth:`put`)
+        self._count = 0
         self._load_snapshot_meta()
 
     # -- snapshot bookkeeping -----------------------------------------
@@ -73,17 +75,13 @@ class FingerprintIndex:
         except OSError:
             size = 0
         self._snapshot_count = size // ENTRY_SIZE
+        self._count = self._snapshot_count + len(self._delta)
 
     # -- lookups ------------------------------------------------------
 
     def __len__(self) -> int:
-        # Delta may shadow snapshot entries (re-append after reopen);
-        # subtract the overlap so len() is the unique-digest count.
-        if not self._delta or not self._snapshot_count:
-            return self._snapshot_count + len(self._delta)
-        shadowed = sum(1 for digest in self._delta
-                       if self._search_snapshot(digest) is not None)
-        return self._snapshot_count + len(self._delta) - shadowed
+        """Unique digests indexed: O(1), a count :meth:`put` keeps."""
+        return self._count
 
     def __contains__(self, digest: bytes) -> bool:
         return self.get(digest) is not None
@@ -119,6 +117,12 @@ class FingerprintIndex:
         return None
 
     def put(self, digest: bytes, location: RecordLocation) -> None:
+        # The delta may shadow a snapshot entry (a re-append after a
+        # reopen): only a digest new to both raises the count, and one
+        # snapshot search per digest entering the delta decides that.
+        if digest not in self._delta \
+                and self._search_snapshot(digest) is None:
+            self._count += 1
         self._delta[digest] = location
 
     @property
@@ -166,7 +170,7 @@ class FingerprintIndex:
         fsync_dir(self.directory)
         self.pool.invalidate(self._snapshot_token())
         self._generation = next_generation
-        self._snapshot_count = len(merged)
+        self._snapshot_count = self._count = len(merged)
         self.watermark = watermark
         self._delta.clear()
 

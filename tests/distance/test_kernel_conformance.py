@@ -21,6 +21,10 @@ construction.
 The dense matrix runs the same pack over a *mixed* population (several
 table sets at once) and adds the ``d_tables`` term itself; its entries
 must equal ``metric(a, b)`` bit for bit too.
+
+A pack grown by ``extend`` in random chunks must hold the one-shot
+pack's tables bit for bit, a refused ``extend`` must leave it untouched,
+and growing by one area must pack only that area's new predicates.
 """
 
 import math
@@ -38,8 +42,10 @@ from repro.algebra.predicates import (ColumnColumnPredicate,
                                       Op)
 from repro.core.area import AccessArea
 from repro.distance import DistanceMatrix, QueryDistance, condensed_index
+from repro.distance import kernel as kernel_module
 from repro.distance.kernel import (KernelUnsupported, PackedPartition,
                                    compute_kernel_blocks)
+from repro.distance.predicate_distance import PredicateDistance
 from repro.obs.metrics import MetricsRegistry
 from repro.schema import (Column, ColumnType, Relation, Schema,
                           StatisticsCatalog)
@@ -386,3 +392,176 @@ class TestKernelMatrixMode:
                     else oracle.d_tables(a, b))
                 assert kernel.value(i, j) == want, (i, j)
             assert kernel.neighbors(i, 0.12) == dense.neighbors(i, 0.12)
+
+
+# -- incremental growth ------------------------------------------------------
+
+T_Z = ColumnRef("T", "z")          # zero-width access: value equality
+T_GHOST = ColumnRef("T", "ghost")  # unknown column: unbounded access
+
+
+def _growth_stats():
+    """:func:`_dist_stats` plus a zero-width column ``T.z``; ``T.ghost``
+    is undeclared, so its access interval is unbounded."""
+    schema = Schema("grow")
+    schema.add(Relation("T", (
+        Column("a", ColumnType.FLOAT, Interval(0.0, 5.0)),
+        Column("a1", ColumnType.FLOAT, Interval(0.0, 5.0)),
+        Column("a2", ColumnType.FLOAT, Interval(0.0, 5.0)),
+        Column("z", ColumnType.FLOAT, Interval(0.0, 5.0)),
+        Column("s", ColumnType.VARCHAR, categories=("x", "y", "z")),
+    )))
+    return StatisticsCatalog.from_exact_content(schema, {
+        ("T", "a"): Interval(0.0, 5.0),
+        ("T", "a1"): Interval(0.0, 5.0),
+        ("T", "a2"): Interval(0.0, 5.0),
+        ("T", "z"): Interval(2.0, 2.0),
+    })
+
+
+growth_predicates = st.one_of(
+    # bounded access; NE at resolution 0 is a two-slot footprint
+    numeric_predicates, numeric_predicates,
+    st.builds(ColumnConstantPredicate, st.sampled_from([T_Z, T_GHOST]),
+              st.sampled_from(OPS), numeric_values),
+    # a wide alphabet: values keep arriving late and the bitset rows
+    # outgrow one uint64 word
+    st.builds(ColumnConstantPredicate, st.just(T_S), st.sampled_from(OPS),
+              st.sampled_from(["x", "y", "z", ""]
+                              + [f"v{k:02d}" for k in range(70)])),
+    join_predicates)
+
+growth_areas = st.lists(
+    st.lists(growth_predicates, min_size=0, max_size=3).map(Clause.of),
+    min_size=0, max_size=4).map(lambda cl: AccessArea(("T",), CNF.of(cl)))
+
+
+def _bits(values) -> bytes:
+    return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+def _grow_in_chunks(areas_, metric, chunks):
+    pack = PackedPartition([], metric)
+    start = 0
+    for size in chunks:
+        pack.extend(areas_[start:start + size])
+        start += size
+    pack.extend(areas_[start:])
+    return pack
+
+
+def _assert_dp_is_oracle(pack, stats, resolution):
+    preds = pack._preds
+    assert len(preds) == pack.n_predicates == pack._dp.shape[0]
+    for i, p1 in enumerate(preds):
+        for j, p2 in enumerate(preds):
+            want = PredicateDistance(stats, resolution).distance(p1, p2)
+            got = float(pack._dp[i, j])
+            assert struct.pack("<d", got) == struct.pack("<d", want), (
+                f"d_pred({p1}, {p2}): pack {got!r} != oracle {want!r}")
+
+
+class TestIncrementalGrowth:
+    """A pack grown by ``extend`` in arbitrary chunks holds exactly the
+    one-shot pack's tables: every ``d_pred`` entry is the oracle's bit
+    for bit, and so is every condensed ``d_conj`` entry."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(population=st.lists(growth_areas, min_size=1, max_size=14),
+           resolution=resolutions,
+           chunks=st.lists(st.integers(min_value=1, max_value=4),
+                           max_size=14))
+    def test_grown_pack_equals_oracle_and_one_shot(self, population,
+                                                   resolution, chunks):
+        stats = _growth_stats()
+        metric = QueryDistance(stats, resolution=resolution)
+        grown = _grow_in_chunks(population, metric, chunks)
+        _assert_dp_is_oracle(grown, stats, resolution)
+        one_shot = PackedPartition(
+            population, QueryDistance(stats, resolution=resolution))
+        assert _bits(grown._dp) == _bits(one_shot._dp)
+        assert _bits(grown.condensed_block()) == \
+            _bits(one_shot.condensed_block())
+
+    @settings(max_examples=25, deadline=None)
+    @given(population=st.lists(growth_areas, min_size=1, max_size=10),
+           resolution=resolutions,
+           refused=st.sampled_from(["bool", "slots"]))
+    def test_refused_extend_leaves_pack_unchanged(self, population,
+                                                  resolution, refused):
+        if refused == "slots":
+            resolution = 0.0  # ``<>`` keeps its two rays apart
+        stats = _growth_stats()
+        metric = QueryDistance(stats, resolution=resolution)
+        pack = _grow_in_chunks(population, metric, [2, 3])
+        dp, n_predicates = _bits(pack._dp), pack.n_predicates
+        block = _bits(pack.condensed_block())
+        valid = ColumnConstantPredicate(T_A2, Op.GE, 1.4142)
+        if refused == "bool":
+            bad = _area([valid], [ColumnConstantPredicate(T_A, Op.EQ, True)])
+            with pytest.raises(KernelUnsupported):
+                pack.extend([bad])
+        else:
+            # A budget of one slot refuses the two-ray footprint.
+            bad = _area([valid], [ColumnConstantPredicate(T_A2, Op.NE, 2.718)])
+            budget = kernel_module._MAX_SLOTS
+            kernel_module._MAX_SLOTS = 1
+            try:
+                with pytest.raises(KernelUnsupported, match="slot budget"):
+                    pack.extend([bad])
+            finally:
+                kernel_module._MAX_SLOTS = budget
+        assert pack.n_predicates == n_predicates
+        assert _bits(pack._dp) == dp
+        assert _bits(pack.condensed_block()) == block
+        # The refused pack keeps growing exactly.
+        extra = _area([ColumnConstantPredicate(T_A1, Op.LE, 4.5)])
+        pack.extend([extra])
+        one_shot = PackedPartition(
+            population + [extra], QueryDistance(stats,
+                                                resolution=resolution))
+        assert _bits(pack.condensed_block()) == \
+            _bits(one_shot.condensed_block())
+
+    def test_bitsets_outgrow_one_word(self, stats):
+        """Categorical values first seen late extend the bit-position
+        table past one uint64 word; popcounts stay position-free."""
+        ops = [Op.EQ, Op.LE, Op.GE, Op.NE]
+        population = [
+            _area([ColumnConstantPredicate(T_S, ops[k % 4], f"v{k:03d}")],
+                  [ColumnConstantPredicate(T_S, Op.EQ, "y")])
+            for k in range(150)]
+        grown = _grow_in_chunks(population, QueryDistance(stats),
+                                [1, 7, 30, 2, 64])
+        _assert_dp_is_oracle(grown, stats, 0.01)
+        one_shot = PackedPartition(population, QueryDistance(stats))
+        assert _bits(grown.condensed_block()) == \
+            _bits(one_shot.condensed_block())
+
+
+class TestExtendCost:
+    def test_extend_calls_oracle_once_per_new_predicate(self, stats,
+                                                        monkeypatch):
+        """Growing a pack of 320 areas by one area with k new numeric
+        predicates packs those k only: a full predicate-table rebuild
+        would make one oracle call per numeric predicate in the pack."""
+        refs = [T_A, T_A1, T_A2]
+        population = [
+            _area([ColumnConstantPredicate(refs[k % 3], Op.GE, k / 64)],
+                  [ColumnConstantPredicate(refs[k % 3], Op.LE, k / 64 + 1)])
+            for k in range(320)]
+        pack = PackedPartition(population, QueryDistance(stats))
+        assert pack.n_predicates >= 600
+        calls = {"_coverage_fraction": 0, "_widened": 0}
+        for name in calls:
+            method = getattr(pack._oracle, name)
+
+            def counted(*args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(*args)
+            monkeypatch.setattr(pack._oracle, name, counted)
+        new = [ColumnConstantPredicate(T_A, Op.GE, 0.3),
+               ColumnConstantPredicate(T_A1, Op.LT, 2.2),
+               ColumnConstantPredicate(T_A2, Op.NE, 4.4)]
+        pack.extend([_area([new[0], new[1]], [new[2]])])
+        assert calls == {"_coverage_fraction": 3, "_widened": 3}

@@ -6,6 +6,9 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.store import AreaStore, fingerprint_digest, open_store
+from repro.store.index import FingerprintIndex
+from repro.store.pager import BufferPool
+from repro.store.segments import RecordLocation
 
 
 def test_open_store_is_optional(tmp_path):
@@ -148,3 +151,41 @@ def test_digest_key_matches_module_function(tmp_path, areas):
     with AreaStore(str(tmp_path / "s")) as store:
         for area in areas:
             assert store.append_area(area) == fingerprint_digest(area)
+
+
+def test_index_len_is_a_kept_count(tmp_path):
+    """``len(index)`` is the unique-digest count across put, checkpoint,
+    reopen and a delta entry shadowing the snapshot — and reading it
+    touches no page."""
+    directory = str(tmp_path / "index")
+    pool = BufferPool(8, 4096)
+    index = FingerprintIndex(directory, pool)
+    digests = [bytes([k]) * 32 for k in range(6)]
+
+    def length(ix, pool_):
+        probes = pool_.stats.probes
+        n = len(ix)
+        assert pool_.stats.probes == probes
+        assert n == len(set(ix.iter_digests()))
+        return n
+
+    for k, digest in enumerate(digests[:3]):
+        index.put(digest, RecordLocation(0, 10 * k, 10))
+    assert length(index, pool) == 3
+    index.put(digests[0], RecordLocation(0, 99, 10))  # delta re-put
+    assert length(index, pool) == 3
+    index.checkpoint((0, 100))
+    assert length(index, pool) == 3
+    index.put(digests[1], RecordLocation(1, 0, 10))  # shadows snapshot
+    index.put(digests[3], RecordLocation(1, 10, 10))
+    assert length(index, pool) == 4
+
+    # Reopen: the un-checkpointed delta is gone, the snapshot remains.
+    pool = BufferPool(8, 4096)
+    index = FingerprintIndex(directory, pool)
+    assert length(index, pool) == 3
+    index.put(digests[2], RecordLocation(1, 20, 10))  # shadows snapshot
+    index.put(digests[4], RecordLocation(1, 30, 10))
+    assert length(index, pool) == 4
+    index.checkpoint((1, 40))
+    assert length(index, pool) == 4
